@@ -237,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="homcollapse",
         description="graph homomorphism complexes, fold collapses, and homology checks",
     )
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="upper bound on worker threads (current algorithms use one)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hom", help="enumerate the cell poset of Hom(G, H)")

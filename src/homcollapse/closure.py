@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .graphs import Graph
 from .posets import (
     FacePoset,
     PosetMap,
     Simplex,
     face_poset,
-    image_subposet,
     order_complex,
     verify_closure_operator,
 )

@@ -12,22 +12,20 @@ cells using v by a perfect matching that inserts u into the first set
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .closure import CollapseSequence, collapse_sequence_from_closure
-from .graphs import FoldWitness, Graph, bits, check_fold
+from .graphs import FoldWitness, Graph, check_fold
 from .hom import HomComplex, enumerate_hom_cells
-from .posets import FacePoset, PosetMap, order_complex
+from .posets import PosetMap, order_complex
 
 
 @dataclass(frozen=True)
 class FoldCollapsePlan:
     """A fold-induced reduction of a hom complex, ready for replay.
 
-    ambient is the complex the sequence acts on: the order complex of the
-    cell poset for side "first" (simplicial mode), the cell poset itself
-    for side "second" (cw mode).  retained lists what must survive, in the
-    same currency as the sequence; target_cells counts surviving poset
-    cells either way.
+    retained lists what must survive, in the same currency as the
+    sequence; target_cells counts surviving poset cells either way.
     """
 
     side: str
@@ -37,7 +35,16 @@ class FoldCollapsePlan:
     retained: frozenset
     target_cells: tuple[int, ...]
     hom: HomComplex
-    ambient: object
+
+    @cached_property
+    def ambient(self):
+        """The complex the sequence acts on: the order complex of the cell
+        poset for side "first" (simplicial mode), the cell poset itself for
+        side "second" (cw mode).  Built on first use, since emitting a plan
+        never reads it."""
+        if self.side == "second":
+            return self.hom.poset
+        return order_complex(self.hom.poset)
 
     def to_json(self) -> dict:
         if self.sequence.mode == "cw":
@@ -104,7 +111,6 @@ def first_arg_collapse(g: Graph, h: Graph, w: FoldWitness, max_cells: int = 1_00
         retained=retained,
         target_cells=target,
         hom=hom,
-        ambient=order_complex(hom.poset),
     )
 
 
@@ -161,7 +167,6 @@ def second_arg_collapse(
         retained=frozenset(retained),
         target_cells=tuple(retained),
         hom=hom,
-        ambient=hom.poset,
     )
 
 

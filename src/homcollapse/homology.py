@@ -10,7 +10,6 @@ arbitrary-precision arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,100 +53,66 @@ def execute_collapses(ambient, seq: CollapseSequence):
     if isinstance(ambient, SimplicialComplex):
         if seq.mode != "simplicial":
             raise ValueError("cw sequence cannot run on a simplicial complex")
-        return _execute_simplicial(ambient, seq)
-    if isinstance(ambient, FacePoset):
+        cells = ambient.simplices
+        steps = [(tuple(free), tuple(cof)) for free, cof in seq.steps]
+
+        def faces(s):
+            return [s[:k] + s[k + 1 :] for k in range(len(s))] if len(s) > 1 else ()
+
+        def dim(s):
+            return len(s) - 1
+
+        def survivors(remaining):
+            labels = ambient.vertex_labels
+            kept = {v: labels[v] for s in remaining for v in s if v in labels}
+            return SimplicialComplex(remaining, kept, check=False)
+
+    elif isinstance(ambient, FacePoset):
         if seq.mode != "cw":
             raise ValueError("simplicial sequence cannot run on a face poset")
-        return _execute_cw(ambient, seq)
-    raise TypeError(f"cannot collapse a {type(ambient).__name__}")
+        cells = ambient.ids
+        steps = seq.steps
+        faces = ambient.lower.__getitem__
 
+        def dim(i):
+            return ambient.dim_of.get(i, -1)
 
-def _execute_simplicial(ambient: SimplicialComplex, seq: CollapseSequence):
-    remaining = set(ambient.simplices)
-    universe = ambient.vertices()
-    up_count = {s: 0 for s in remaining}
-    for s in remaining:
-        if len(s) > 1:
-            for k in range(len(s)):
-                up_count[s[:k] + s[k + 1 :]] += 1
+        survivors = ambient.restrict
+    else:
+        raise TypeError(f"cannot collapse a {type(ambient).__name__}")
 
-    def cofaces_present(s):
-        for w in universe:
-            if w not in s:
-                t = tuple(sorted(s + (w,)))
-                if t in remaining:
-                    yield t
+    remaining = set(cells)
+    up_count = dict.fromkeys(remaining, 0)
+    for c in remaining:
+        for f in faces(c):
+            up_count[f] += 1
 
-    def remove(s):
-        remaining.discard(s)
-        if len(s) > 1:
-            for k in range(len(s)):
-                f = s[:k] + s[k + 1 :]
-                if f in remaining:
-                    up_count[f] -= 1
+    def first_coface(face, skip=None):
+        # failure path only: a full scan keeps the hot loop free of coface indexes
+        return min(c for c in remaining if c != skip and face in faces(c))
 
     dims: list[tuple[int, int]] = []
-    for idx, (free, cof) in enumerate(seq.steps):
-        free, cof = tuple(free), tuple(cof)
-        problem = None
-        if free not in remaining:
-            problem = f"free face {free} is absent"
-        elif cof not in remaining:
-            problem = f"coface {cof} is absent"
-        elif not (len(cof) == len(free) + 1 and set(free) < set(cof)):
-            problem = f"{cof} does not cover {free}"
-        elif up_count[free] != 1:
-            other = next(t for t in cofaces_present(free) if t != cof)
-            problem = f"face {free} is not free: {other} also contains it"
-        elif up_count[cof] != 0:
-            blocker = next(cofaces_present(cof))
-            problem = f"coface {cof} is not maximal: {blocker} remains"
-        if problem is not None:
-            report = CollapseReport(False, idx, tuple(dims), f"step {idx}: {problem}")
-            return _subcomplex(ambient, remaining), report
-        dims.append((len(free) - 1, len(cof) - 1))
-        remove(cof)
-        remove(free)
-    return _subcomplex(ambient, remaining), CollapseReport(True, None, tuple(dims))
-
-
-def _subcomplex(ambient: SimplicialComplex, remaining) -> SimplicialComplex:
-    labels = {v: ambient.vertex_labels[v] for s in remaining for v in s if v in ambient.vertex_labels}
-    return SimplicialComplex(remaining, labels, check=False)
-
-
-def _execute_cw(ambient: FacePoset, seq: CollapseSequence):
-    remaining = set(ambient.ids)
-    up_count = {i: len(ambient.upper[i]) for i in ambient.ids}
-
-    def remove(i):
-        remaining.discard(i)
-        for lo in ambient.lower[i]:
-            if lo in remaining:
-                up_count[lo] -= 1
-
-    dims: list[tuple[int, int]] = []
-    for idx, (free, cof) in enumerate(seq.steps):
+    for idx, (free, cof) in enumerate(steps):
         problem = None
         if free not in remaining:
             problem = f"free cell {free} is absent"
         elif cof not in remaining:
             problem = f"coface {cof} is absent"
-        elif cof not in ambient.upper[free]:
+        elif free not in faces(cof):
             problem = f"{cof} does not cover {free}"
         elif up_count[free] != 1:
-            other = next(t for t in ambient.upper[free] if t in remaining and t != cof)
-            problem = f"cell {free} is not free: {other} also covers it"
+            problem = f"cell {free} is not free: {first_coface(free, cof)} also covers it"
         elif up_count[cof] != 0:
-            blocker = next(t for t in ambient.upper[cof] if t in remaining)
-            problem = f"coface {cof} is not maximal: {blocker} remains"
+            problem = f"coface {cof} is not maximal: {first_coface(cof)} remains"
         if problem is not None:
             report = CollapseReport(False, idx, tuple(dims), f"step {idx}: {problem}")
-            return ambient.restrict(sorted(remaining)), report
-        dims.append((ambient.dim_of.get(free, -1), ambient.dim_of.get(cof, -1)))
-        remove(cof)
-        remove(free)
-    return ambient.restrict(sorted(remaining)), CollapseReport(True, None, tuple(dims))
+            return survivors(remaining), report
+        dims.append((dim(free), dim(cof)))
+        for c in (cof, free):
+            remaining.discard(c)
+            for f in faces(c):
+                up_count[f] -= 1
+    return survivors(remaining), CollapseReport(True, None, tuple(dims))
 
 
 @dataclass(frozen=True)

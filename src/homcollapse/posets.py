@@ -8,7 +8,6 @@ survive subposet extraction, so collapse plans can name cells stably.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -48,7 +47,6 @@ class FacePoset:
         self._topo = self._toposort()
         self._above: dict[int, frozenset[int]] | None = None
         self._below: dict[int, frozenset[int]] | None = None
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self.ids)
@@ -74,25 +72,21 @@ class FacePoset:
     def _ensure_reachability(self):
         if self._above is not None:
             return
-        with self._lock:
-            if self._above is not None:
-                return
-            above: dict[int, frozenset[int]] = {}
-            below: dict[int, frozenset[int]] = {}
-            for x in reversed(self._topo):
-                acc: set[int] = set()
-                for y in self.upper[x]:
-                    acc.add(y)
-                    acc |= above[y]
-                above[x] = frozenset(acc)
-            for x in self._topo:
-                acc = set()
-                for y in self.lower[x]:
-                    acc.add(y)
-                    acc |= below[y]
-                below[x] = frozenset(acc)
-            self._below = below
-            self._above = above  # published last; readers key off this
+        above: dict[int, frozenset[int]] = {}
+        below: dict[int, frozenset[int]] = {}
+        for x in reversed(self._topo):
+            acc: set[int] = set()
+            for y in self.upper[x]:
+                acc.add(y)
+                acc |= above[y]
+            above[x] = frozenset(acc)
+        for x in self._topo:
+            acc = set()
+            for y in self.lower[x]:
+                acc.add(y)
+                acc |= below[y]
+            below[x] = frozenset(acc)
+        self._above, self._below = above, below
 
     def above(self, x: int) -> frozenset[int]:
         """Elements strictly greater than x."""
@@ -124,9 +118,9 @@ class FacePoset:
         Each chain is grown upward from its minimum, so every chain is
         produced exactly once.
         """
-        members = self.ids if within is None else [i for i in self.ids if i in set(within)]
-        memberset = set(members)
-        succ = {x: sorted(self.above(x) & memberset) for x in members}
+        wanted = set(self.ids if within is None else within)
+        members = [i for i in self.ids if i in wanted]
+        succ = {x: sorted(self.above(x) & wanted) for x in members}
         out: list[Simplex] = []
 
         def grow(chain: Simplex, last: int):

@@ -265,8 +265,3 @@ def test_gen_is_seed_stable(capsys):
     _, out3, _ = run(capsys, ["gen", "--seed", "10", "--count", "3", "--json"])
     assert out1 == out2
     assert out1 != out3
-
-
-def test_threads_flag_is_accepted(graphs, capsys):
-    code, out, _ = run(capsys, ["--threads", "4", "hom", "-G", graphs["k2"], "-H", graphs["k2"]])
-    assert code == 0 and "cells: 2" in out

@@ -221,6 +221,53 @@ def test_execute_cw_detects_dependent_steps_out_of_order():
     assert not report.valid and report.failed_step == 0
 
 
+def _triangle_in(mode):
+    """The full triangle as a replay ambient, and a map from its simplices
+    to the cells that name them in that mode."""
+    x = full_triangle()
+    if mode == "simplicial":
+        return x, lambda s: s
+    p = face_poset(x)
+    by_label = {p.label_of[i]: i for i in p.ids}
+    return p, by_label.__getitem__
+
+
+# Illegal steps on the full triangle, each replayed after the legal step
+# (0, 1) < (0, 1, 2); the detail is built from the mode's cell names.
+TRIANGLE_REJECTIONS = {
+    "free-absent": (((0, 1), (0, 1, 2)), lambda c: f"free cell {c((0, 1))} is absent"),
+    "coface-absent": (((0,), (0, 1)), lambda c: f"coface {c((0, 1))} is absent"),
+    "not-covering": (((0,), (1, 2)), lambda c: f"{c((1, 2))} does not cover {c((0,))}"),
+    "not-free": (((2,), (0, 2)), lambda c: f"cell {c((2,))} is not free: {c((1, 2))} also covers it"),
+}
+
+
+def _rejection_cases():
+    for mode in ("simplicial", "cw"):
+        ambient, cell = _triangle_in(mode)
+        first = (cell((0, 1)), cell((0, 1, 2)))
+        for name, ((free, cof), detail) in TRIANGLE_REJECTIONS.items():
+            steps = (first, (cell(free), cell(cof)))
+            yield pytest.param(ambient, mode, steps, detail(cell), id=f"{mode}-{name}")
+    # in a closed simplicial complex a free face's unique coface is always
+    # maximal, so only a cw ambient reaches this branch
+    p = FacePoset(range(5), [(0, 1), (1, 2), (3, 4)], dims={0: 0, 1: 1, 2: 2, 3: 0, 4: 1})
+    yield pytest.param(p, "cw", ((3, 4), (0, 1)), "coface 1 is not maximal: 2 remains", id="cw-not-maximal")
+
+
+@pytest.mark.parametrize("ambient, mode, steps, detail", list(_rejection_cases()))
+def test_execute_rejection_branches(ambient, mode, steps, detail):
+    remaining, report = execute_collapses(ambient, CollapseSequence(mode, steps))
+    assert not report.valid and report.failed_step == 1
+    assert report.detail == f"step 1: {detail}"
+    assert len(report.step_dims) == 1
+    if mode == "simplicial":
+        before, after = set(ambient.simplices), set(remaining.simplices)
+    else:
+        before, after = set(ambient.ids), set(remaining.ids)
+    assert after == before - set(steps[0])
+
+
 def test_compare_collapse_pass_and_failure_modes():
     p = FacePoset(range(3), [(0, 1), (1, 2)])
     phi = PosetMap(p, p, {0: 0, 1: 1, 2: 1})
