@@ -48,15 +48,17 @@ def _read_graph(path: str):
     return parse_graph(text)
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _dump(payload, stream) -> None:
+    json.dump(payload, stream, indent=2, sort_keys=True)
+    stream.write("\n")
 
 
 def _emit(args, payload) -> None:
     if args.out:
-        Path(args.out).write_text(_dump(payload))
+        with open(args.out, "w") as f:
+            _dump(payload, f)
     elif args.json:
-        sys.stdout.write(_dump(payload))
+        _dump(payload, sys.stdout)
 
 
 def _summary(args, text: str) -> None:

@@ -79,7 +79,8 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
     cells: list[Cell] = []
     assignment = [0] * g.n
 
-    def assign(x: int):
+    def choices(x: int):
+        # sets for vertex x given assignment[:x]; past the last vertex, record the cell
         if x == g.n:
             cells.append(tuple(assignment))
             if len(cells) > max_cells:
@@ -91,12 +92,17 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
         s = allowed
         while s:
             if not looped[x] or s & ~_common_neighbors(h, s) == 0:
-                assignment[x] = s
-                assign(x + 1)
+                yield s
             s = (s - 1) & allowed
-        assignment[x] = 0
 
-    assign(0)
+    stack = [choices(0)]  # one generator per vertex, so deep domains miss the recursion limit
+    while stack:
+        s = next(stack[-1], 0)
+        if s:
+            assignment[len(stack) - 1] = s
+            stack.append(choices(len(stack)))
+        else:
+            stack.pop()
     cells.sort(key=cell_vertex_sets)
     index = {c: k for k, c in enumerate(cells)}
     covers = []

@@ -3,8 +3,8 @@
 The executor replays elementary collapse steps against the stated ambient
 complex, maintaining upper-cover counts so that freeness of a face is an
 O(1) check at the moment the step fires.  Homology comes from scratch in
-two ways that share no code path with the collapse builders: sparse
-Gaussian elimination over GF(2), and integer Smith normal form on exact
+two ways that share no code path with the collapse builders: column
+reduction over GF(2) on int bitsets, and integer Smith normal form on exact
 arbitrary-precision arithmetic.
 """
 
@@ -63,9 +63,7 @@ def execute_collapses(ambient, seq: CollapseSequence):
             return len(s) - 1
 
         def survivors(remaining):
-            labels = ambient.vertex_labels
-            kept = {v: labels[v] for s in remaining for v in s if v in labels}
-            return SimplicialComplex(remaining, kept, check=False)
+            return SimplicialComplex(remaining, check=False)
 
     elif isinstance(ambient, FacePoset):
         if seq.mode != "cw":
@@ -137,43 +135,23 @@ def _trim(seq: Sequence) -> tuple:
 def gf2_rank(columns: Iterable[Iterable[int]]) -> int:
     """Rank over GF(2) of a sparse matrix given as columns of row indices.
 
-    Each round performs a rank-one pivot update: with pivot entry (i0, j0),
-    adding (column j0) x (row i0) kills that row and column and applies the
-    Schur complement to the rest, all via symmetric differences on the two
-    mirrored sparse indexes.
+    Column reduction with each column held as an int bitset (a repeated row
+    index counts once): XOR the stored pivot column with the same leading
+    bit into the column until it vanishes or shows a new leading bit, under
+    which it is stored.  The rank is the number of stored pivots.
     """
-    col_rows: dict[int, set[int]] = {}
-    for j, rows in enumerate(columns):
-        rows = set(rows)
-        if rows:
-            col_rows[j] = rows
-    row_cols: dict[int, set[int]] = {}
-    for j, rows in col_rows.items():
+    pivots: dict[int, int] = {}
+    for rows in columns:
+        v = 0
         for i in rows:
-            row_cols.setdefault(i, set()).add(j)
-    rank = 0
-    while col_rows:
-        j0 = next(iter(col_rows))
-        i0 = next(iter(col_rows[j0]))
-        # prefer the sparser of two candidate pivots to limit fill-in
-        j1 = next(iter(row_cols[i0]))
-        i1 = next(iter(col_rows[j1]))
-        if len(col_rows[j1]) + len(row_cols[i1]) < len(col_rows[j0]) + len(row_cols[i0]):
-            i0, j0 = i1, j1
-        I = frozenset(col_rows[j0])  # snapshots: the live sets mutate below
-        J = frozenset(row_cols[i0])
-        for i in I:
-            cols = row_cols[i]
-            cols ^= J
-            if not cols:
-                del row_cols[i]
-        for j in J:
-            rows = col_rows[j]
-            rows ^= I
-            if not rows:
-                del col_rows[j]
-        rank += 1
-    return rank
+            v |= 1 << i
+        while v:
+            lead = v.bit_length()
+            if lead not in pivots:
+                pivots[lead] = v
+                break
+            v ^= pivots[lead]
+    return len(pivots)
 
 
 def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:

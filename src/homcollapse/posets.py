@@ -197,9 +197,9 @@ def _jsonable(x):
 class SimplicialComplex:
     """Abstract simplicial complex; simplices are id-sorted vertex tuples."""
 
-    __slots__ = ("simplices", "vertex_labels")
+    __slots__ = ("simplices",)
 
-    def __init__(self, simplices: Iterable[Sequence[int]], vertex_labels=None, check: bool = True):
+    def __init__(self, simplices: Iterable[Sequence[int]], check: bool = True):
         sims = frozenset(tuple(s) for s in simplices)
         if check:
             for s in sims:
@@ -210,16 +210,15 @@ class SimplicialComplex:
                         if s[:k] + s[k + 1 :] not in sims:
                             raise ValueError(f"complex is not closed: {s} lacks a face")
         self.simplices = sims
-        self.vertex_labels = dict(vertex_labels) if vertex_labels else {}
 
     @classmethod
-    def from_facets(cls, facets: Iterable[Sequence[int]], vertex_labels=None) -> "SimplicialComplex":
+    def from_facets(cls, facets: Iterable[Sequence[int]]) -> "SimplicialComplex":
         sims: set[Simplex] = set()
         for f in facets:
             f = tuple(sorted(set(f)))
             for k in range(1, len(f) + 1):
                 sims.update(itertools.combinations(f, k))
-        return cls(sims, vertex_labels, check=False)
+        return cls(sims, check=False)
 
     def __len__(self):
         return len(self.simplices)
@@ -271,7 +270,7 @@ class SimplicialComplex:
 
 def order_complex(p: FacePoset) -> SimplicialComplex:
     """The simplicial complex of nonempty chains of p, on p's ids."""
-    return SimplicialComplex(p.chains(), vertex_labels=dict(p.label_of), check=False)
+    return SimplicialComplex(p.chains(), check=False)
 
 
 def face_poset(x: SimplicialComplex) -> FacePoset:

@@ -247,6 +247,17 @@ def test_max_cells_budget_exit(graphs, capsys, tmp_path):
     assert code == 3 and "10" in err
 
 
+def test_hom_deep_domain_is_not_bounded_by_recursion(capsys, tmp_path):
+    # 1200 domain vertices is deeper than the default recursion limit of 1000
+    e1200 = tmp_path / "e1200.graph"
+    e1200.write_text("n 1200\n")
+    loop = tmp_path / "loop.graph"
+    loop.write_text("n 1\ne 0 0\n")
+    code, out, err = run(capsys, ["hom", "-G", str(e1200), "-H", str(loop)])
+    assert code == 0 and err == ""
+    assert "cells: 1 " in out
+
+
 def test_gen_fixtures_round_trip(capsys):
     code, out, err = run(capsys, ["gen", "--seed", "5", "--count", "4", "--json"])
     assert code == 0

@@ -61,9 +61,11 @@ def test_gf2_rank_small_matrices():
 
 def test_gf2_rank_against_dense_elimination():
     rng = random.Random(97)
-    for _ in range(60):
-        m, n = rng.randint(1, 8), rng.randint(1, 8)
-        dense = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+    for trial in range(120):
+        # small dense matrices, then sparse ones up to 60 x 60
+        top, density = (8, 0.5) if trial < 60 else (60, rng.choice((0.03, 0.08, 0.2)))
+        m, n = rng.randint(1, top), rng.randint(1, top)
+        dense = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
         cols = [[i for i in range(m) if dense[i][j]] for j in range(n)]
         # plain row echelon over GF(2)
         work = [row[:] for row in dense]
@@ -78,6 +80,10 @@ def test_gf2_rank_against_dense_elimination():
                     work[i] = [a ^ b for a, b in zip(work[i], work[rank])]
             rank += 1
         assert gf2_rank(cols) == rank
+        # a repeated row index counts once
+        assert gf2_rank([rows + rng.sample(rows, len(rows) // 2) for rows in cols]) == rank
+        # one-shot iterables, for the matrix and for each column
+        assert gf2_rank(iter(rows) for rows in cols) == rank
 
 
 def test_smith_normal_form_known_matrices():
