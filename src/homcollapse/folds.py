@@ -97,6 +97,7 @@ def first_arg_collapse(g: Graph, h: Graph, w: FoldWitness, max_cells: int = 1_00
     where eta(w.v) == eta(w.u), for a fold w inside the domain g, by
     running the ascending closure and then the descending one on its fixed
     cells."""
+    check_fold(g, w)
     hom = enumerate_hom_cells(g, h, max_cells)
     alpha, beta = alpha_beta_maps(hom, w)
     seq = collapse_sequence_from_closure(hom.poset, alpha, "ascending")

@@ -4,8 +4,8 @@ The executor replays elementary collapse steps against the stated ambient
 complex, maintaining upper-cover counts so that freeness of a face is an
 O(1) check at the moment the step fires.  Homology comes from scratch in
 two ways that share no code path with the collapse builders: column
-reduction over GF(2) on int bitsets, and integer Smith normal form on exact
-arbitrary-precision arithmetic.
+reduction over GF(2) on int bitsets, and integer Smith invariant factors
+from a sparse elimination on exact arbitrary-precision arithmetic.
 """
 
 from __future__ import annotations
@@ -157,63 +157,50 @@ def gf2_rank(columns: Iterable[Iterable[int]]) -> int:
 def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix, in divisibility order.
 
-    Classical reduction with exact arithmetic: bring the absolutely
-    smallest entry to the pivot, clear its row and column by division with
-    remainder (re-pivoting on any remainder, which strictly shrinks the
-    pivot), then restart the block if the pivot fails to divide some
-    remaining entry.
+    One elimination over sparse rows ({column: entry} dicts) with exact
+    arithmetic.  The pivot is the first +-1 entry, or failing that one of
+    least absolute value.  Row operations clear its column, and a nonzero
+    remainder takes over as a strictly smaller pivot.  With the column
+    clear, a column operation changes only the pivot row, so its other
+    entries are reduced modulo the pivot; a remainder again takes over.  A
+    non-unit pivot that fails to divide some remaining entry absorbs that
+    entry's row and goes round again.
     """
-    a = [row[:] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    rows = [r for r in ({j: x for j, x in enumerate(row) if x} for row in matrix) if r]
     factors = []
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
+    while rows:
+        at = next(((i, j) for i, r in enumerate(rows) for j, x in r.items() if x in (1, -1)), None)
+        if at is None:
+            _, *at = min((abs(x), i, j) for i, r in enumerate(rows) for j, x in r.items())
+        i, c = at
+        top = rows.pop(i)
         while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            leftover = [i for i in range(t + 1, m) if a[i][t]]
-            if leftover:
-                i = min(leftover, key=lambda r: abs(a[r][t]))
-                a[t], a[i] = a[i], a[t]
+            for k, r in enumerate(rows):
+                while c in r:
+                    q = r[c] // top[c]
+                    for j, x in top.items():
+                        y = r.get(j, 0) - q * x
+                        if y:
+                            r[j] = y
+                        else:
+                            r.pop(j, None)
+                    if c in r:
+                        r, top = top, r
+                rows[k] = r
+            p = top[c]
+            rest = {j: x % p for j, x in top.items() if x % p}
+            top = {c: p, **rest}
+            if rest:
+                c = min(rest, key=lambda j: abs(rest[j]))
                 continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-            leftover = [j for j in range(t + 1, n) if a[t][j]]
-            if leftover:
-                j = min(leftover, key=lambda c: abs(a[t][c]))
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                continue
-            stray = next(
-                (i for i in range(t + 1, m) for j in range(t + 1, n) if a[i][j] % a[t][t]),
-                None,
-            )
+            if p in (1, -1):
+                break
+            stray = next((r for r in rows if any(x % p for x in r.values())), None)
             if stray is None:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[stray])]
-        factors.append(abs(a[t][t]))
-        t += 1
+            top.update(stray)
+        factors.append(abs(p))
+        rows = [r for r in rows if r]
     return factors
 
 

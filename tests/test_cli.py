@@ -5,6 +5,7 @@ import pytest
 from homcollapse import (
     FacePoset,
     PosetMap,
+    format_graph,
     parse_graph,
     verify_closure_operator,
 )
@@ -182,6 +183,21 @@ def test_homology_torsion_in_integer_mode(capsys, tmp_path):
     assert "torsion" in err
 
 
+def test_homology_integer_sphere(capsys, tmp_path):
+    # Hom(K2, K5) is a 3-sphere: 4,200 chains in its order complex
+    k5 = tmp_path / "k5.graph"
+    k5.write_text(format_graph(complete(5)))
+    k2 = tmp_path / "k2.graph"
+    k2.write_text(K2)
+    code, out, _ = run(
+        capsys,
+        ["homology", "-G", str(k2), "-H", str(k5), "--coefficients", "integer", "--json"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["betti"] == [1, 0, 0, 1] and data["torsion"] == []
+
+
 def test_homology_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["homology"])
     assert code == 2 and "--complex" in err
@@ -214,6 +230,16 @@ def test_verify_first_argument_fold(graphs, capsys):
     assert data["ambient_cells"] == 30 and data["target_cells"] == 12
     # steps pair up chains of the order complex, not cells
     assert data["steps"] == 42
+
+
+def test_verify_first_side_bad_fold_is_input_error(graphs, capsys):
+    # the fold is checked before Hom(G, H) is enumerated, so the cell budget is never hit
+    code, _, err = run(
+        capsys,
+        ["verify", "-G", graphs["p3"], "-H", graphs["k3"],
+         "--side", "first", "--fold-vertex", "0", "--fold-onto", "1", "--max-cells", "1"],
+    )
+    assert code == 2 and "does not dominate" in err
 
 
 def test_verify_second_argument_fold(graphs, capsys):

@@ -95,16 +95,46 @@ def test_smith_normal_form_known_matrices():
     assert smith_invariant_factors([]) == []
 
 
+def _det(a):
+    # Laplace expansion along the first row: exact, and cheap up to 5 x 5
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j, x in enumerate(a[0])
+        if x
+    )
+
+
 def test_smith_factors_divisibility_randomized():
     rng = random.Random(101)
-    for _ in range(60):
+    for trial in range(1500):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        span = (1, 2, 6, 30)[trial % 4]
+        density = rng.choice((0.3, 0.6, 1.0))
+        if trial % 8 == 0:
+            mat = [[rng.choice((-1, 1)) for _ in range(n)] for _ in range(m)]
+        else:
+            mat = [
+                [rng.randint(-span, span) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)
+            ]
         factors = smith_invariant_factors(mat)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         # the first factor is the gcd of all entries (the 1 x 1 minors)
         if factors:
             assert factors[0] == math.gcd(*(v for row in mat for v in row))
+        # factor k is d_k / d_(k-1), where d_k is the gcd of the k x k minors
+        divisors = [1]
+        for k in range(1, min(m, n) + 1):
+            d = 0
+            for rows in itertools.combinations(mat, k):
+                for cols in itertools.combinations(range(n), k):
+                    d = math.gcd(d, _det([[row[c] for c in cols] for row in rows]))
+            if not d:
+                break
+            divisors.append(d)
+        assert factors == [b // a for a, b in zip(divisors, divisors[1:])]
 
 
 def test_betti_point_and_spheres():
