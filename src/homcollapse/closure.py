@@ -4,7 +4,8 @@ A descending closure (monotone, idempotent, pointwise below the identity)
 lets the order complex collapse onto the order complex of its image, one
 non-fixed element at a time.  The same data read on chains instead gives a
 perfect acyclic matching whose critical cells are exactly the chains of the
-image.  Ascending closures reduce to the descending case on the dual poset.
+image.  An ascending closure runs the same argument with above and below,
+and minimal and maximal, swapped.
 """
 
 from __future__ import annotations
@@ -107,20 +108,20 @@ def collapse_sequence_from_closure(p: FacePoset, phi: PosetMap, direction: str) 
     report = verify_closure_operator(phi, direction)
     if not report.ok:
         raise ClosureError(report)
-    work = p if direction == "descending" else p.dual()
+    if direction == "descending":
+        above, below, first = p.above, p.below, p.minimal_in
+    else:  # the descending case on the dual, whose chains are those of p
+        above, below, first = p.below, p.above, p.maximal_in
     fmap = phi.map
     image = set(fmap.values())
-    remaining = set(work.ids)
+    remaining = set(p.ids)
     steps: list[tuple[Simplex, Simplex]] = []
     moving = remaining - image
     while moving:
-        x = work.minimal_in(moving)[0]
+        x = first(moving)[0]
         fx = fmap[x]
-        up = work.above(x) & remaining
-        down = work.below(fx) & remaining
-        joins = [()]
-        joins += work.chains(within=up)
-        low = [()] + work.chains(within=down)
+        joins = [()] + p.chains(within=above(x) & remaining)
+        low = [()] + p.chains(within=below(fx) & remaining)
         sims = [tuple(sorted(cu + cd)) for cu in joins for cd in low]
         sims.sort(key=lambda s: (-len(s), s))
         for sigma in sims:

@@ -72,24 +72,11 @@ def alpha_beta_maps(hom: HomComplex, w: FoldWitness) -> tuple[PosetMap, PosetMap
     """
     check_fold(hom.domain, w)
     v, u = w.v, w.u
-    grow = {}
-    for cid, cell in enumerate(hom.cells):
-        filled = cell[v] | cell[u]
-        if filled == cell[v]:
-            grow[cid] = cid
-        else:
-            image = cell[:v] + (filled,) + cell[v + 1 :]
-            grow[cid] = hom.cell_index[image]
-    alpha = PosetMap(hom.poset, hom.poset, grow)
-    fixed_ids = sorted(cid for cid, cell in enumerate(hom.cells) if cell[u] & ~cell[v] == 0)
-    fixed = hom.poset.restrict(fixed_ids)
-    shrink = {}
-    for cid in fixed_ids:
-        cell = hom.cells[cid]
-        image = cell[:v] + (cell[u],) + cell[v + 1 :]
-        shrink[cid] = hom.cell_index[image]
-    beta = PosetMap(fixed, fixed, shrink)
-    return alpha, beta
+    return _closure_pair(
+        hom,
+        lambda cell: cell[:v] + (cell[v] | cell[u],) + cell[v + 1 :],
+        lambda cell: cell[:v] + (cell[u],) + cell[v + 1 :],
+    )
 
 
 def first_arg_collapse(g: Graph, h: Graph, w: FoldWitness, max_cells: int = 1_000_000) -> FoldCollapsePlan:
@@ -180,23 +167,20 @@ def phi_psi_maps(hom: HomComplex, w: FoldWitness) -> tuple[PosetMap, PosetMap]:
     second deletes v everywhere (descending), landing on the cells that
     avoid v."""
     check_fold(hom.codomain, w)
-    v, u = w.v, w.u
-    vbit, ubit = 1 << v, 1 << u
-    insert = {}
-    for cid, cell in enumerate(hom.cells):
-        image = tuple(m | ubit if m & vbit else m for m in cell)
-        insert[cid] = hom.cell_index[image]
-    phi = PosetMap(hom.poset, hom.poset, insert)
-    fixed_ids = sorted(
-        cid
-        for cid, cell in enumerate(hom.cells)
-        if all(m & ubit for m in cell if m & vbit)
+    vbit, ubit = 1 << w.v, 1 << w.u
+    return _closure_pair(
+        hom,
+        lambda cell: tuple(m | ubit if m & vbit else m for m in cell),
+        lambda cell: tuple(m & ~vbit for m in cell),
     )
+
+
+def _closure_pair(hom: HomComplex, grow, shrink) -> tuple[PosetMap, PosetMap]:
+    """The ascending closure grow (cell -> cell) on all of hom's cells, and
+    the descending closure shrink on the cells grow fixes, as maps of ids."""
+    index = hom.cell_index
+    up = {cid: index[grow(cell)] for cid, cell in enumerate(hom.cells)}
+    fixed_ids = [cid for cid, image in up.items() if image == cid]
     fixed = hom.poset.restrict(fixed_ids)
-    delete = {}
-    for cid in fixed_ids:
-        cell = hom.cells[cid]
-        image = tuple(m & ~vbit for m in cell)
-        delete[cid] = hom.cell_index[image]
-    psi = PosetMap(fixed, fixed, delete)
-    return phi, psi
+    down = {cid: index[shrink(hom.cells[cid])] for cid in fixed_ids}
+    return PosetMap(hom.poset, hom.poset, up), PosetMap(fixed, fixed, down)

@@ -2,16 +2,16 @@
 
 The executor replays elementary collapse steps against the stated ambient
 complex, maintaining upper-cover counts so that freeness of a face is an
-O(1) check at the moment the step fires.  Homology comes from scratch in
-two ways that share no code path with the collapse builders: column
-reduction over GF(2) on int bitsets, and integer Smith invariant factors
-from a sparse elimination on exact arbitrary-precision arithmetic.
+O(1) check at the moment the step fires.  Homology comes from scratch, off
+one sparse boundary per dimension, in two ways that share no code path
+with the collapse builders: column reduction over GF(2) on int bitsets,
+and integer Smith invariant factors from an exact sparse elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .closure import CollapseSequence
 from .posets import FacePoset, SimplicialComplex, order_complex
@@ -154,19 +154,19 @@ def gf2_rank(columns: Iterable[Iterable[int]]) -> int:
     return len(pivots)
 
 
-def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of an integer matrix, in divisibility order.
+def smith_invariant_factors(rows: Iterable[Mapping[int, int]]) -> list[int]:
+    """Nonzero invariant factors, in divisibility order, of sparse int rows.
 
-    One elimination over sparse rows ({column: entry} dicts) with exact
-    arithmetic.  The pivot is the first +-1 entry, or failing that one of
-    least absolute value.  Row operations clear its column, and a nonzero
-    remainder takes over as a strictly smaller pivot.  With the column
-    clear, a column operation changes only the pivot row, so its other
-    entries are reduced modulo the pivot; a remainder again takes over.  A
-    non-unit pivot that fails to divide some remaining entry absorbs that
-    entry's row and goes round again.
+    One elimination over copies of the {column: entry} rows (the caller's
+    are left as they are) with exact arithmetic.  The pivot is the first
+    +-1 entry, or failing that one of least absolute value.  Row operations
+    clear its column, and a nonzero remainder takes over as a strictly
+    smaller pivot.  With the column clear, a column operation changes only
+    the pivot row, so its other entries are reduced modulo the pivot; a
+    remainder again takes over.  A non-unit pivot that fails to divide some
+    remaining entry absorbs that entry's row and goes round again.
     """
-    rows = [r for r in ({j: x for j, x in enumerate(row) if x} for row in matrix) if r]
+    rows = [r for r in ({j: x for j, x in row.items() if x} for row in rows) if r]
     factors = []
     while rows:
         at = next(((i, j) for i, r in enumerate(rows) for j, x in r.items() if x in (1, -1)), None)
@@ -216,9 +216,10 @@ def _group_by_dim(x: SimplicialComplex):
 def betti(x: SimplicialComplex, coefficients: str = "gf2") -> BettiVector:
     """Unreduced Betti numbers of x, plus invariant factors in integer mode.
 
-    The boundary in each dimension is assembled from scratch with signs
-    (-1)^k on deleting the k-th vertex; ranks come from gf2_rank or from
-    counting Smith invariant factors, never from any collapse data.
+    The boundary in each dimension is assembled from scratch once, as
+    sparse columns of face indices: gf2_rank reduces them, or signed (-1)^k
+    on deleting the k-th vertex they are the Smith rows (of the transpose,
+    which has the same invariant factors).  No collapse data is read.
     """
     if coefficients not in ("gf2", "integer"):
         raise ValueError(f"unknown coefficients {coefficients!r}")
@@ -234,15 +235,12 @@ def betti(x: SimplicialComplex, coefficients: str = "gf2") -> BettiVector:
         cols = by_dim.get(d, [])
         if not cols or not rows:
             continue
+        faces = [[rows[s[:k] + s[k + 1 :]] for k in range(len(s))] for s in cols]
         if coefficients == "gf2":
-            sparse = [[rows[s[:k] + s[k + 1 :]] for k in range(len(s))] for s in cols]
-            ranks[d] = gf2_rank(sparse)
+            ranks[d] = gf2_rank(faces)
         else:
-            dense = [[0] * len(cols) for _ in range(len(rows))]
-            for j, s in enumerate(cols):
-                for k in range(len(s)):
-                    dense[rows[s[:k] + s[k + 1 :]]][j] = -1 if k % 2 else 1
-            factors = smith_invariant_factors(dense)
+            signed = [{i: -1 if k % 2 else 1 for k, i in enumerate(f)} for f in faces]
+            factors = smith_invariant_factors(signed)
             ranks[d] = len(factors)
             torsion[d - 1] = tuple(f for f in factors if f > 1)
     bs = [len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1)]

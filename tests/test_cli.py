@@ -232,6 +232,20 @@ def test_verify_first_argument_fold(graphs, capsys):
     assert data["steps"] == 42
 
 
+def test_verify_first_argument_fold_integer(graphs, capsys, tmp_path):
+    # integer homology of a side-first ambient: the order complex of Hom(P3, K4), 9,098 chains
+    k4 = tmp_path / "k4.graph"
+    k4.write_text(format_graph(complete(4)))
+    code, out, _ = run(
+        capsys,
+        ["verify", "-G", graphs["p3"], "-H", str(k4), "--side", "first", "--fold-vertex", "0",
+         "--fold-onto", "2", "--coefficients", "integer", "--json"],
+    )
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["betti_before"] == verdict["betti_after"] == [1, 0, 1]
+
+
 def test_verify_first_side_bad_fold_is_input_error(graphs, capsys):
     # the fold is checked before Hom(G, H) is enumerated, so the cell budget is never hit
     code, _, err = run(

@@ -86,13 +86,32 @@ def test_gf2_rank_against_dense_elimination():
         assert gf2_rank(iter(rows) for rows in cols) == rank
 
 
+def _smith(mat):
+    return smith_invariant_factors([dict(enumerate(row)) for row in mat])
+
+
 def test_smith_normal_form_known_matrices():
-    assert smith_invariant_factors([[2, 4], [6, 8]]) == [2, 4]
-    assert smith_invariant_factors([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_invariant_factors([[0, 0], [0, 0]]) == []
-    assert smith_invariant_factors([[6]]) == [6]
-    assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariant_factors([]) == []
+    assert _smith([[2, 4], [6, 8]]) == [2, 4]
+    assert _smith([[1, 0], [0, 1]]) == [1, 1]
+    assert _smith([[0, 0], [0, 0]]) == []
+    assert _smith([[6]]) == [6]
+    assert _smith([[2, 0], [0, 3]]) == [1, 6]
+    assert _smith([]) == []
+
+
+def test_smith_sparse_row_inputs():
+    # explicit zeros and empty rows are dropped; columns need not be contiguous
+    assert smith_invariant_factors([{0: 0, 7: 2}, {}, {3: 0}, {7: 4, 9: 6}]) == [2, 6]
+    assert smith_invariant_factors([{}, {}]) == []
+    assert smith_invariant_factors([{5: 0}]) == []
+    # a one-shot generator of rows
+    assert smith_invariant_factors({0: x} for x in (4, 6)) == [2]
+    assert smith_invariant_factors(iter([{0: 2, 1: 4}, {0: 6, 1: 8}])) == [2, 4]
+    # the caller's mappings are left as they were
+    rows = [{0: 2, 1: 4, 2: 0}, {0: 6, 1: 8}, {}]
+    before = [dict(r) for r in rows]
+    assert smith_invariant_factors(rows) == [2, 4]
+    assert rows == before
 
 
 def _det(a):
@@ -119,7 +138,7 @@ def test_smith_factors_divisibility_randomized():
                 [rng.randint(-span, span) if rng.random() < density else 0 for _ in range(n)]
                 for _ in range(m)
             ]
-        factors = smith_invariant_factors(mat)
+        factors = _smith(mat)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         # the first factor is the gcd of all entries (the 1 x 1 minors)
         if factors:
