@@ -40,7 +40,8 @@ class FoldCollapsePlan:
     def ambient(self):
         """The complex the sequence acts on: the order complex of the cell
         poset for side "first" (simplicial mode), the cell poset itself for
-        side "second" (cw mode).  Built on first use, since emitting a plan
+        side "second" (cw mode), whose vertex-set labels give the verifier
+        its cellular homology.  Built on first use, since emitting a plan
         never reads it."""
         if self.side == "second":
             return self.hom.poset

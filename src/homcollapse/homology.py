@@ -1,11 +1,14 @@
-"""Independent verification: collapse execution and simplicial homology.
+"""Independent verification: collapse execution and homology.
 
 The executor replays elementary collapse steps against the stated ambient
 complex, maintaining upper-cover counts so that freeness of a face is an
 O(1) check at the moment the step fires.  Homology comes from scratch, off
-one sparse boundary per dimension, in two ways that share no code path
-with the collapse builders: column reduction over GF(2) on int bitsets,
-and integer Smith invariant factors from an exact sparse elimination.
+one sparse boundary per dimension, either of a simplicial complex or of
+the cellular chain complex of a face poset of product cells (the cells of
+Hom(G, H), read from their vertex-set labels).  Both feed one rank loop
+that shares no code path with the collapse builders: column reduction
+over GF(2) on int bitsets, or integer Smith invariant factors from an
+exact sparse elimination.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .closure import CollapseSequence
-from .posets import FacePoset, SimplicialComplex, order_complex
+from .posets import FacePoset, SimplicialComplex
 
 
 @dataclass
@@ -204,49 +207,116 @@ def smith_invariant_factors(rows: Iterable[Mapping[int, int]]) -> list[int]:
     return factors
 
 
-def _group_by_dim(x: SimplicialComplex):
+def _betti(sizes: Sequence[int], boundary, coefficients: str) -> BettiVector:
+    """Betti numbers of a chain complex with sizes[d] cells in dimension d.
+
+    boundary(d, signed) builds the whole boundary out of dimension d in one
+    call: columns of row indices into dimension d - 1 for GF(2), or
+    {row: +-1} mappings for the integers, which are the Smith rows of the
+    transpose (it has the same invariant factors).
+    """
+    if coefficients not in ("gf2", "integer"):
+        raise ValueError(f"unknown coefficients {coefficients!r}")
+    top = len(sizes) - 1
+    ranks = [0] * (top + 2)
+    torsion: list[tuple[int, ...]] = [() for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        if not sizes[d]:
+            continue
+        if coefficients == "gf2":
+            ranks[d] = gf2_rank(boundary(d, False))
+        else:
+            factors = smith_invariant_factors(boundary(d, True))
+            ranks[d] = len(factors)
+            torsion[d - 1] = tuple(f for f in factors if f > 1)
+    bs = [sizes[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)]
+    if coefficients == "gf2":
+        return BettiVector(_trim(bs), None)
+    return BettiVector(_trim(bs), _trim(torsion))
+
+
+def betti(x, coefficients: str = "gf2") -> BettiVector:
+    """Unreduced Betti numbers of x, plus invariant factors in integer mode.
+
+    x is a SimplicialComplex, or a FacePoset read as a regular CW complex:
+    an element labelled by vertex sets (A_0, ..., A_{n-1}), as
+    enumerate_hom_cells labels the cells of Hom(G, H), is the product of
+    the simplices on the A_x.  Raises ValueError unless every element
+    carries such a label, every face of a label is an element, and each
+    element's lower covers are exactly the faces of its label.  Each
+    boundary is assembled from scratch once, as sparse columns of face
+    indices; no collapse data is read.
+    """
+    if isinstance(x, SimplicialComplex):
+        return _betti(*_simplicial_chains(x), coefficients)
+    if isinstance(x, FacePoset):
+        return _betti(*_cellular_chains(x), coefficients)
+    raise TypeError(f"no Betti numbers for {type(x).__name__}")
+
+
+def _simplicial_chains(x: SimplicialComplex):
+    """Simplices by dimension, and boundaries signed (-1)^k on deleting the
+    k-th vertex."""
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     for s in x.simplices:
         by_dim.setdefault(len(s) - 1, []).append(s)
     for sims in by_dim.values():
         sims.sort()
-    return by_dim
+    cells = [by_dim.get(d, []) for d in range(max(by_dim, default=-1) + 1)]
+    index = [{s: k for k, s in enumerate(sims)} for sims in cells]
+
+    def boundary(d, signed):
+        rows = index[d - 1]
+        if signed:
+            return [{rows[s[:k] + s[k + 1 :]]: -1 if k % 2 else 1 for k in range(len(s))} for s in cells[d]]
+        return [[rows[s[:k] + s[k + 1 :]] for k in range(len(s))] for s in cells[d]]
+
+    return [len(sims) for sims in cells], boundary
 
 
-def betti(x: SimplicialComplex, coefficients: str = "gf2") -> BettiVector:
-    """Unreduced Betti numbers of x, plus invariant factors in integer mode.
+def _cellular_chains(p: FacePoset):
+    """Product cells of p by dimension, and boundaries: dropping the j-th
+    smallest vertex of A_x has incidence (-1)^(sum over y < x of
+    (|A_y| - 1) + j), the product rule for simplices."""
+    cell_of = {}
+    for i in p.ids:
+        label = p.label_of.get(i)
+        try:
+            cell = tuple(tuple(a) for a in label)
+            ok = all(a and all(type(v) is int for v in a) and list(a) == sorted(set(a)) for a in cell)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"element {i} is not labelled as a product cell: {label!r}")
+        cell_of[i] = cell
+    id_of = {cell: i for i, cell in cell_of.items()}
+    if len(id_of) != len(cell_of):
+        raise ValueError("two elements carry the same cell label")
+    faces: dict[int, list[tuple[int, int]]] = {}
+    by_dim: dict[int, list[int]] = {}
+    for i, cell in cell_of.items():
+        out = []
+        dim = 0
+        for x, a in enumerate(cell):
+            for j in range(len(a) if len(a) > 1 else 0):  # a single vertex has no face
+                face = id_of.get(cell[:x] + (a[:j] + a[j + 1 :],) + cell[x + 1 :])
+                if face is None:
+                    raise ValueError(f"cell {i} lacks the face dropping {a[j]} from set {x}")
+                out.append((face, dim + j))
+            dim += len(a) - 1
+        if tuple(sorted(f for f, _ in out)) != p.lower[i]:
+            raise ValueError(f"covers of cell {i} are not the faces of its label")
+        faces[i] = out
+        by_dim.setdefault(dim, []).append(i)
+    cells = [by_dim.get(d, []) for d in range(max(by_dim, default=-1) + 1)]
+    row = {i: k for ids in cells for k, i in enumerate(ids)}
 
-    The boundary in each dimension is assembled from scratch once, as
-    sparse columns of face indices: gf2_rank reduces them, or signed (-1)^k
-    on deleting the k-th vertex they are the Smith rows (of the transpose,
-    which has the same invariant factors).  No collapse data is read.
-    """
-    if coefficients not in ("gf2", "integer"):
-        raise ValueError(f"unknown coefficients {coefficients!r}")
-    if not x.simplices:
-        return BettiVector((), None if coefficients == "gf2" else ())
-    by_dim = _group_by_dim(x)
-    top = max(by_dim)
-    index = {d: {s: k for k, s in enumerate(by_dim[d])} for d in by_dim}
-    ranks = [0] * (top + 2)
-    torsion: list[tuple[int, ...]] = [() for _ in range(top + 1)]
-    for d in range(1, top + 1):
-        rows = index.get(d - 1, {})
-        cols = by_dim.get(d, [])
-        if not cols or not rows:
-            continue
-        faces = [[rows[s[:k] + s[k + 1 :]] for k in range(len(s))] for s in cols]
-        if coefficients == "gf2":
-            ranks[d] = gf2_rank(faces)
-        else:
-            signed = [{i: -1 if k % 2 else 1 for k, i in enumerate(f)} for f in faces]
-            factors = smith_invariant_factors(signed)
-            ranks[d] = len(factors)
-            torsion[d - 1] = tuple(f for f in factors if f > 1)
-    bs = [len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
-    if coefficients == "gf2":
-        return BettiVector(_trim(bs), None)
-    return BettiVector(_trim(bs), _trim(torsion))
+    def boundary(d, signed):
+        if signed:
+            return [{row[f]: -1 if e % 2 else 1 for f, e in faces[i]} for i in cells[d]]
+        return [[row[f] for f, _ in faces[i]] for i in cells[d]]
+
+    return [len(ids) for ids in cells], boundary
 
 
 @dataclass
@@ -286,19 +356,21 @@ def compare_collapse(ambient, seq: CollapseSequence, expected_remaining, coeffic
     Checks, all independent of how the sequence was produced: every step
     legal, every step removing a (k, k+1) pair so the Euler characteristic
     is pinned stepwise, the survivors equal to expected_remaining, and the
-    Betti numbers (of order complexes, for cw mode) unchanged.
+    Betti numbers unchanged.  In cw mode the Betti numbers are cellular
+    ones, read from the product-cell labels of ambient and of the
+    survivors, which form a subcomplex even when the replay stops early
+    (each legal step removes a free pair); labels that are not product
+    cells raise ValueError.
     """
     remaining, report = execute_collapses(ambient, seq)
     euler_ok = report.valid and all(hi == lo + 1 for lo, hi in report.step_dims)
     if isinstance(ambient, FacePoset):
-        before_c, after_c = order_complex(ambient), order_complex(remaining)
         survivors = set(remaining.ids)
     else:
-        before_c, after_c = ambient, remaining
         survivors = set(remaining.simplices)
     expected = {s if isinstance(s, int) else tuple(s) for s in expected_remaining}
-    bv_before = betti(before_c, coefficients)
-    bv_after = betti(after_c, coefficients)
+    bv_before = betti(ambient, coefficients)
+    bv_after = betti(remaining, coefficients)
     return Verdict(
         valid=report.valid,
         failed_step=report.failed_step,

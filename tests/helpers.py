@@ -26,6 +26,11 @@ def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def k4_pendant():
+    # K4 plus vertex 4 hanging off 0, which folds onto any of 1, 2, 3
+    return Graph.from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(0, 4)])
+
+
 def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 

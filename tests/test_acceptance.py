@@ -9,7 +9,8 @@ representative of every loopless isomorphism class on at most 4 vertices
 (18 graphs) plus three looped shapes.  Pairs whose hom complex exceeds
 1500 cells or whose order complex exceeds 20000 chains are skipped to keep
 the suite inside its time budget; the skip counts are themselves pinned so
-the guard cannot silently eat coverage.
+the guard cannot silently eat coverage.  Criterion 9 checks cellular
+homology against the order complex on the same capped pairs.
 """
 
 import itertools
@@ -353,3 +354,34 @@ def test_criterion_8_stepwise_euler_invariance(closure_suite, first_sweep, secon
                   f"removed a (k, k+1) pair")
     finally:
         announce(capsys, 8, ok, detail)
+
+
+def test_criterion_9_cellular_homology_matches_order_complex(corpus, foldable, second_sweep, capsys):
+    # the simplicial betti of the order complex is the oracle for the cellular path
+    ok, detail = False, "crashed"
+    try:
+        t0 = time.perf_counter()
+        complexes = []
+        for g in corpus.values():
+            for h in corpus.values():
+                hom = _guarded_hom(g, h)
+                if hom is not None:
+                    complexes.append(hom.poset)
+        folds = {name: w for name, _, w in foldable}
+        for rec in second_sweep["records"]:
+            g, h = corpus[rec["g"]], corpus[rec["h"]]
+            plan = second_arg_collapse(h, g, folds[rec["g"]], None, CELL_CAP)
+            complexes.append(plan.hom.poset.restrict(plan.retained))
+        for p in complexes:
+            oracle = order_complex(p)
+            for coefficients in ("gf2", "integer"):
+                assert betti(p, coefficients) == betti(oracle, coefficients), (
+                    f"{len(p)} cells, {coefficients}"
+                )
+        assert len(complexes) == 365 + 257
+        elapsed = time.perf_counter() - t0
+        ok = True
+        detail = (f"cellular betti equals the order complex's over GF(2) and Z on "
+                  f"365 hom complexes and 257 retained subcomplexes, {elapsed:.1f}s")
+    finally:
+        announce(capsys, 9, ok, detail)

@@ -11,7 +11,7 @@ from homcollapse import (
 )
 from homcollapse.cli import main
 
-from helpers import complete, edgeless, path_graph
+from helpers import complete, cycle, edgeless, k4_pendant, path_graph
 
 K2 = "n 2\ne 0 1\n"
 K3 = "n 3\ne 0 1\ne 0 2\ne 1 2\n"
@@ -266,6 +266,21 @@ def test_verify_second_argument_fold(graphs, capsys):
     data = json.loads(out)
     assert data["verdict"]["betti_before"] == [2]
     assert data["verdict"]["betti_after"] == [2]
+
+
+def test_verify_second_argument_fold_integer_projective_space(capsys, tmp_path):
+    # Hom(C5, K4p) collapses onto Hom(C5, K4), which has the integral homology of RP^3
+    c5, k4p = tmp_path / "c5.graph", tmp_path / "k4p.graph"
+    c5.write_text(format_graph(cycle(5)))
+    k4p.write_text(format_graph(k4_pendant()))
+    code, out, _ = run(
+        capsys,
+        ["verify", "-G", str(c5), "-H", str(k4p), "--side", "second", "--fold-vertex", "4",
+         "--coefficients", "integer", "--json"],
+    )
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["betti_before"] == verdict["betti_after"] == [1, 0, 0, 1]
 
 
 def test_missing_graph_file(graphs, capsys, tmp_path):

@@ -5,14 +5,17 @@ import random
 import pytest
 
 from homcollapse import (
+    BettiVector,
     CollapseSequence,
     FacePoset,
     FoldWitness,
+    Graph,
     PosetMap,
     SimplicialComplex,
     betti,
     collapse_sequence_from_closure,
     compare_collapse,
+    enumerate_hom_cells,
     execute_collapses,
     f_vector,
     face_poset,
@@ -25,7 +28,9 @@ from homcollapse import (
     smith_invariant_factors,
 )
 
-from helpers import complete, path_graph
+from homcollapse.homology import _cellular_chains
+
+from helpers import complete, cycle, k4_pendant, path_graph
 
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -350,11 +355,113 @@ def test_compare_collapse_pass_and_failure_modes():
     assert short.valid and not short.remaining_matches
 
 
-def test_compare_collapse_cw_mode_uses_order_complexes():
+def test_compare_collapse_cw_mode_uses_cellular_homology():
     plan = second_arg_collapse(complete(2), path_graph(3), FoldWitness(0, 2))
     verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained, "integer")
     assert verdict.all_pass
     assert verdict.betti_before == (2,)
+
+
+def test_compare_collapse_cw_mode_judges_a_stopped_replay():
+    # the survivors of legal steps are a subcomplex, so their cellular Betti
+    # numbers exist wherever the replay stops
+    plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
+    steps = plan.sequence.steps
+    # two legal steps, then the first again, whose cells are gone
+    stopped = compare_collapse(plan.ambient, CollapseSequence("cw", steps[:2] + steps[:1]), plan.retained)
+    assert not stopped.valid and stopped.failed_step == 2
+    assert stopped.betti_after == stopped.betti_before == (1, 0, 1)
+    partial = compare_collapse(plan.ambient, CollapseSequence("cw", steps[:1]), plan.retained, "integer")
+    assert partial.valid and not partial.remaining_matches
+    assert partial.betti_after == partial.betti_before == (1, 0, 1)
+
+
+def _non_product_posets():
+    hom = enumerate_hom_cells(complete(2), complete(3)).poset
+    yield pytest.param(FacePoset(hom.ids, hom.covers, hom.dim_of), "not labelled", id="no-labels")
+    yield pytest.param(face_poset(full_triangle()), "not labelled", id="simplex-labels")
+    odd = dict(hom.label_of)
+    odd[hom.ids[-1]] = "ab"
+    yield pytest.param(FacePoset(hom.ids, hom.covers, hom.dim_of, odd), "not labelled", id="string-label")
+    point = next(i for i in hom.ids if hom.dim_of[i] == 0)
+    yield pytest.param(hom.restrict(set(hom.ids) - {point}), "lacks the face", id="face-absent")
+    loose = FacePoset(hom.ids, hom.covers[1:], hom.dim_of, hom.label_of)
+    yield pytest.param(loose, "not the faces of its label", id="cover-missing")
+
+
+@pytest.mark.parametrize("ambient, message", list(_non_product_posets()))
+def test_compare_collapse_cw_mode_rejects_non_product_cells(ambient, message):
+    with pytest.raises(ValueError, match=message):
+        compare_collapse(ambient, CollapseSequence("cw", ()), set(ambient.ids))
+
+
+@pytest.mark.parametrize("g, h", [
+    pytest.param(complete(2), complete(5), id="K2-K5"),
+    pytest.param(cycle(5), complete(4), id="C5-K4"),
+    # K4 with a loop at every vertex
+    pytest.param(path_graph(3), Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a, 4)]), id="P3-K4r"),
+])
+def test_cellular_boundary_of_boundary_vanishes(g, h):
+    # the product-rule signs compose to zero over the integers
+    sizes, boundary = _cellular_chains(enumerate_hom_cells(g, h).poset)
+    assert len(sizes) > 3
+    for d in range(2, len(sizes)):
+        below = boundary(d - 1, True)
+        for column in boundary(d, True):
+            acc = {}
+            for mid, a in column.items():
+                for row, b in below[mid].items():
+                    acc[row] = acc.get(row, 0) + a * b
+            assert not any(acc.values())
+
+
+def _product_poset(*factors):
+    """Cells of a product of simplicial complexes, each labelled by its
+    tuple of simplices; covers add one vertex to one factor."""
+    cells = list(itertools.product(*(sorted(x.simplices) for x in factors)))
+    index = {c: k for k, c in enumerate(cells)}
+    covers = [
+        (index[c[:x] + (a[:j] + a[j + 1 :],) + c[x + 1 :]], index[c])
+        for c in cells for x, a in enumerate(c) if len(a) > 1 for j in range(len(a))
+    ]
+    return FacePoset(range(len(cells)), covers, labels=dict(enumerate(cells)))
+
+
+@pytest.mark.parametrize("factors, integral", [
+    pytest.param(("rp2",), BettiVector((1,), ((), (2,))), id="RP2"),
+    pytest.param(("rp2", "segment"), BettiVector((1,), ((), (2,))), id="RP2xI"),
+    pytest.param(("circle", "circle"), BettiVector((1, 2, 1), ()), id="torus"),
+])
+def test_cellular_betti_matches_order_complex_with_torsion(factors, integral):
+    spaces = {
+        "rp2": SimplicialComplex.from_facets(RP2_FACETS),
+        "segment": SimplicialComplex.from_facets([(0, 1)]),
+        "circle": hollow_triangle(),
+    }
+    p = _product_poset(*(spaces[f] for f in factors))
+    oracle = order_complex(p)
+    for coefficients in ("gf2", "integer"):
+        assert betti(p, coefficients) == betti(oracle, coefficients)
+    assert betti(p, "integer") == integral
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_hom_k2_kn_is_a_sphere(n):
+    # Hom(K2, Kn) is homotopy equivalent to S^(n-2) (Babson-Kozlov)
+    p = enumerate_hom_cells(complete(2), complete(n)).poset
+    sphere = (1,) + (0,) * (n - 3) + (1,)
+    assert betti(p).betti == sphere
+    integral = betti(p, "integer")
+    assert integral.betti == sphere and integral.torsion_free()
+
+
+def test_hom_c5_k4_is_projective_space():
+    # Hom(C5, K4) has the homology of RP^3 (Csorba-Lutz): Z/2 in H_1
+    p = enumerate_hom_cells(cycle(5), complete(4)).poset
+    integral = betti(p, "integer")
+    assert integral.betti == (1, 0, 0, 1)
+    assert integral.torsion == ((), (2,))
+    assert betti(p).betti == (1, 1, 1, 1)
 
 
 def test_verdict_json_schema():
