@@ -19,7 +19,7 @@ import random
 import sys
 from pathlib import Path
 
-from .closure import ClosureError, random_descending_closure, random_poset
+from .closure import random_descending_closure, random_poset
 from .folds import first_arg_collapse, second_arg_collapse
 from .graphs import (
     FoldError,
@@ -293,10 +293,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (GraphParseError, FoldError, ClosureError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # parse, fold and closure errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

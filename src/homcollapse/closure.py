@@ -19,6 +19,7 @@ from .posets import (
     PosetMap,
     Simplex,
     face_poset,
+    json_int,
     order_complex,
     verify_closure_operator,
 )
@@ -68,10 +69,10 @@ class CollapseSequence:
         try:
             mode = data["mode"]
             if mode == "cw":
-                steps = tuple((int(s["free"]), int(s["coface"])) for s in data["steps"])
+                steps = tuple((json_int(s["free"]), json_int(s["coface"])) for s in data["steps"])
             else:
                 steps = tuple(
-                    (tuple(int(v) for v in s["free"]), tuple(int(v) for v in s["coface"]))
+                    (tuple(json_int(v) for v in s["free"]), tuple(json_int(v) for v in s["coface"]))
                     for s in data["steps"]
                 )
         except (KeyError, TypeError, ValueError) as exc:
@@ -94,9 +95,9 @@ class Matching:
         }
 
 
-def collapse_sequence_from_closure(p: FacePoset, phi: PosetMap, direction: str) -> CollapseSequence:
-    """Elementary collapses taking the order complex of p onto that of
-    phi's image.
+def collapse_sequence_from_closure(phi: PosetMap, direction: str) -> CollapseSequence:
+    """Elementary collapses taking the order complex of p = phi.source onto
+    that of phi's image.
 
     Repeatedly pick the minimal (smallest id on ties) non-fixed element x
     still present.  Every remaining chain through x either contains phi(x)
@@ -108,6 +109,7 @@ def collapse_sequence_from_closure(p: FacePoset, phi: PosetMap, direction: str) 
     report = verify_closure_operator(phi, direction)
     if not report.ok:
         raise ClosureError(report)
+    p = phi.source
     if direction == "descending":
         above, below, first = p.above, p.below, p.minimal_in
     else:  # the descending case on the dual, whose chains are those of p
@@ -131,9 +133,9 @@ def collapse_sequence_from_closure(p: FacePoset, phi: PosetMap, direction: str) 
     return CollapseSequence("simplicial", tuple(steps))
 
 
-def morse_matching_from_closure(p: FacePoset, phi: PosetMap, bd: FacePoset | None = None) -> Matching:
+def morse_matching_from_closure(phi: PosetMap) -> Matching:
     """The chain-level matching of a descending closure, on the face poset
-    of the order complex of p.
+    of the order complex of p = phi.source.
 
     A chain missing from the image locates its lowest non-fixed entry x_i
     and is paired across inserting phi(x_i), or across deleting x_{i-1}
@@ -143,10 +145,9 @@ def morse_matching_from_closure(p: FacePoset, phi: PosetMap, bd: FacePoset | Non
     report = verify_closure_operator(phi, "descending")
     if not report.ok:
         raise ClosureError(report)
-    if bd is None:
-        bd = face_poset(order_complex(p))
+    bd = face_poset(order_complex(phi.source))
     image = set(phi.map.values())
-    rank = p.linear_extension_rank()
+    rank = phi.source.linear_extension_rank()
     chain_id = {bd.label_of[i]: i for i in bd.ids}
     pairs = set()
     paired = set()
@@ -175,10 +176,11 @@ def morse_matching_from_closure(p: FacePoset, phi: PosetMap, bd: FacePoset | Non
     return Matching(bd, frozenset(pairs), frozenset(critical))
 
 
-def verify_acyclic_matching(p: FacePoset, m: Matching) -> tuple[bool, list[int] | None]:
-    """Check m.pairs are disjoint covers of p and that reversing matched
+def verify_acyclic_matching(m: Matching) -> tuple[bool, list[int] | None]:
+    """Check m.pairs are disjoint covers of m.poset and that reversing matched
     covers leaves the Hasse digraph acyclic.  Returns (True, None) or
     (False, certificate cycle as a list of cell ids)."""
+    p = m.poset
     coverset = set(p.covers)
     used: set[int] = set()
     for a, b in m.pairs:
@@ -307,13 +309,16 @@ def random_poset(rng, max_elements: int = 10) -> FacePoset:
     return FacePoset(range(n), covers)
 
 
-def random_descending_closure(rng, p: FacePoset, max_tries: int = 60) -> PosetMap:
+_CLOSURE_TRIES = 60
+
+
+def random_descending_closure(rng, p: FacePoset) -> PosetMap:
     """A random descending closure on p: pick a retract candidate set
     containing all minimal elements and send each x to a maximal chosen
-    element below it, keeping the first attempt that satisfies the laws."""
+    element below it.  Returns the first lawful attempt, else the identity."""
     ids = list(p.ids)
     floor = set(p.minimal_in(ids))
-    for _ in range(max_tries):
+    for _ in range(_CLOSURE_TRIES):
         chosen = {x for x in ids if rng.random() < 0.55} | floor
         mapping = {}
         for x in ids:

@@ -88,8 +88,8 @@ def first_arg_collapse(g: Graph, h: Graph, w: FoldWitness, max_cells: int = 1_00
     check_fold(g, w)
     hom = enumerate_hom_cells(g, h, max_cells)
     alpha, beta = alpha_beta_maps(hom, w)
-    seq = collapse_sequence_from_closure(hom.poset, alpha, "ascending")
-    seq = seq + collapse_sequence_from_closure(beta.source, beta, "descending")
+    seq = collapse_sequence_from_closure(alpha, "ascending")
+    seq = seq + collapse_sequence_from_closure(beta, "descending")
     target = tuple(sorted(set(beta.map.values())))
     retained = frozenset(hom.poset.chains(within=target))
     return FoldCollapsePlan(

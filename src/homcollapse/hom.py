@@ -103,7 +103,9 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
             stack.append(choices(len(stack)))
         else:
             stack.pop()
-    cells.sort(key=cell_vertex_sets)
+    cells = sorted((cell_vertex_sets(c), c) for c in cells)  # sets are unique; rebinding frees the pairs
+    labels = dict(enumerate(sets for sets, _ in cells))
+    cells = [c for _, c in cells]
     index = {c: k for k, c in enumerate(cells)}
     covers = []
     for cid, cell in enumerate(cells):
@@ -116,7 +118,7 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
         range(len(cells)),
         covers,
         {k: cell_dim(c) for k, c in enumerate(cells)},
-        {k: cell_vertex_sets(c) for k, c in enumerate(cells)},
+        labels,
     )
     return HomComplex(g, h, tuple(cells), poset, index)
 

@@ -78,7 +78,14 @@ def execute_collapses(ambient, seq: CollapseSequence):
         def dim(i):
             return ambient.dim_of.get(i, -1)
 
-        survivors = ambient.restrict
+        def survivors(remaining):
+            # legal steps remove only maximal cells: a down-set keeps the ambient's covers
+            return FacePoset(
+                [i for i in cells if i in remaining],
+                [(a, b) for a, b in ambient.covers if a in remaining and b in remaining],
+                {i: d for i, d in ambient.dim_of.items() if i in remaining},
+                {i: x for i, x in ambient.label_of.items() if i in remaining},
+            )
     else:
         raise TypeError(f"cannot collapse a {type(ambient).__name__}")
 
@@ -99,7 +106,7 @@ def execute_collapses(ambient, seq: CollapseSequence):
             problem = f"free cell {free} is absent"
         elif cof not in remaining:
             problem = f"coface {cof} is absent"
-        elif free not in faces(cof):
+        elif free not in (cof_faces := faces(cof)):
             problem = f"{cof} does not cover {free}"
         elif up_count[free] != 1:
             problem = f"cell {free} is not free: {first_coface(free, cof)} also covers it"
@@ -109,10 +116,10 @@ def execute_collapses(ambient, seq: CollapseSequence):
             report = CollapseReport(False, idx, tuple(dims), f"step {idx}: {problem}")
             return survivors(remaining), report
         dims.append((dim(free), dim(cof)))
-        for c in (cof, free):
-            remaining.discard(c)
-            for f in faces(c):
-                up_count[f] -= 1
+        remaining.discard(cof)
+        remaining.discard(free)
+        for f in (*cof_faces, *faces(free)):
+            up_count[f] -= 1
     return survivors(remaining), CollapseReport(True, None, tuple(dims))
 
 

@@ -173,10 +173,10 @@ class FacePoset:
     @classmethod
     def from_json(cls, data: Mapping) -> "FacePoset":
         try:
-            elements = [int(e["id"]) for e in data["elements"]]
-            dims = {int(e["id"]): int(e["dim"]) for e in data["elements"]}
-            labels = {int(e["id"]): e.get("label") for e in data["elements"]}
-            covers = [(int(a), int(b)) for a, b in data["covers"]]
+            elements = [json_int(e["id"]) for e in data["elements"]]
+            dims = {i: json_int(e["dim"]) for i, e in zip(elements, data["elements"])}
+            labels = {i: e.get("label") for i, e in zip(elements, data["elements"])}
+            covers = [(json_int(a), json_int(b)) for a, b in data["covers"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed poset JSON: {exc}") from None
         p = cls(elements, covers, dims, labels)
@@ -184,13 +184,18 @@ class FacePoset:
         return p
 
 
+def json_int(x) -> int:
+    """x if it is a JSON integer: never a float (1e400 reads as inf) or bool."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def _jsonable(x):
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (frozenset, set)):
         return sorted(_jsonable(v) for v in x)
-    if isinstance(x, list):
-        return [_jsonable(v) for v in x]
     return x
 
 
@@ -256,8 +261,8 @@ class SimplicialComplex:
     @classmethod
     def from_json(cls, data: Mapping) -> "SimplicialComplex":
         try:
-            facets = [tuple(int(v) for v in f) for f in data["facets"]]
-            declared = {int(v) for v in data["vertices"]}
+            facets = [tuple(json_int(v) for v in f) for f in data["facets"]]
+            declared = {json_int(v) for v in data["vertices"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed complex JSON: {exc}") from None
         x = cls.from_facets(facets)
@@ -333,21 +338,18 @@ def identity_map(p: FacePoset) -> PosetMap:
     return PosetMap(p, p, {x: x for x in p.ids})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureReport:
-    """Outcome of the three closure-operator laws, with counterexamples."""
+    """The first closure-operator law that fails, with a counterexample;
+    law is None when all of them hold."""
 
     direction: str
-    endomap: bool = True
-    order_preserving: bool = True
-    idempotent: bool = True
-    comparative: bool = True
-    witness: tuple | None = None
     law: str | None = None
+    witness: tuple | None = None
 
     @property
     def ok(self) -> bool:
-        return self.endomap and self.order_preserving and self.idempotent and self.comparative
+        return self.law is None
 
     def describe(self) -> str:
         if self.ok:
@@ -356,36 +358,22 @@ class ClosureReport:
 
 
 def verify_closure_operator(f: PosetMap, direction: str) -> ClosureReport:
-    """Check f is monotone, idempotent, and descending (f(x) <= x) or
-    ascending (x <= f(x)) according to direction."""
+    """The first law by which f fails to be a monotone, idempotent endomap
+    with f(x) <= x (descending) or x <= f(x) (ascending), else a pass."""
     if direction not in ("descending", "ascending"):
         raise ValueError(f"direction must be 'descending' or 'ascending', not {direction!r}")
-    r = ClosureReport(direction)
     if f.source.ids != f.target.ids or f.source.covers != f.target.covers:
-        r.endomap = False
-        r.law = "endomap"
-        r.witness = ()
-        return r
+        return ClosureReport(direction, "endomap", ())
     bad = f.is_order_preserving()
     if bad is not None:
-        r.order_preserving = False
-        r.law = "order preservation"
-        r.witness = bad
-        return r
+        return ClosureReport(direction, "order preservation", bad)
     for x in f.source.ids:
         y = f.map[x]
         if f.map[y] != y:
-            r.idempotent = False
-            r.law = "idempotence"
-            r.witness = (x, y, f.map[y])
-            return r
-        ok = f.source.le(y, x) if direction == "descending" else f.source.le(x, y)
-        if not ok:
-            r.comparative = False
-            r.law = f"{direction} comparison"
-            r.witness = (x, y)
-            return r
-    return r
+            return ClosureReport(direction, "idempotence", (x, y, f.map[y]))
+        if not (f.source.le(y, x) if direction == "descending" else f.source.le(x, y)):
+            return ClosureReport(direction, f"{direction} comparison", (x, y))
+    return ClosureReport(direction)
 
 
 def image_subposet(f: PosetMap) -> FacePoset:

@@ -102,7 +102,7 @@ def closure_suite():
     while cases < 200:
         p = random_poset(rng, 10)
         phi = random_descending_closure(rng, p)
-        seq = collapse_sequence_from_closure(p, phi, "descending")
+        seq = collapse_sequence_from_closure(phi, "descending")
         ambient = order_complex(p)
         image_chains = set(image_subposet(phi).chains())
         verdict = compare_collapse(ambient, seq, image_chains)
@@ -111,8 +111,8 @@ def closure_suite():
         _, report = execute_collapses(ambient, seq)
         step_dims.append(report.step_dims)
 
-        m = morse_matching_from_closure(p, phi)
-        ok, certificate = verify_acyclic_matching(m.poset, m)
+        m = morse_matching_from_closure(phi)
+        ok, certificate = verify_acyclic_matching(m)
         if not ok:
             failures.append(f"case {cases}: matching cycle {certificate}")
         critical_chains = {m.poset.label_of[i] for i in m.critical}
@@ -168,10 +168,16 @@ def second_sweep(corpus, foldable):
             matching = Matching(
                 plan.hom.poset, frozenset(plan.sequence.steps), plan.retained
             )
-            acyclic, certificate = verify_acyclic_matching(plan.hom.poset, matching)
+            acyclic, certificate = verify_acyclic_matching(matching)
             if not acyclic:
                 failures.append(f"Hom({hname}, {gname}): pairing cycle {certificate}")
-            dims = [execute_collapses(plan.ambient, plan.sequence)[1].step_dims]
+            remaining, report = execute_collapses(plan.ambient, plan.sequence)
+            induced = plan.hom.poset.restrict(remaining.ids)
+            if (remaining.ids, remaining.covers, remaining.dim_of, remaining.label_of) != (
+                induced.ids, induced.covers, induced.dim_of, induced.label_of
+            ):
+                failures.append(f"Hom({hname}, {gname}): survivors differ from the induced subposet")
+            dims = [report.step_dims]
             for _ in range(3):
                 order = list(range(h.n))
                 rng.shuffle(order)

@@ -215,6 +215,12 @@ def test_homology_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["homology", "--complex", str(tmp_path / "missing.json")])
     assert code == 2 and "cannot read" in err
 
+    # JSON 1e400 reads as inf, which int() would meet with OverflowError
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"vertices": [0], "facets": [[1e400]]}')
+    code, _, err = run(capsys, ["homology", "--complex", str(huge)])
+    assert code == 2 and "not an integer" in err
+
 
 def test_verify_first_argument_fold(graphs, capsys):
     code, out, err = run(

@@ -30,7 +30,7 @@ def chain_poset(n):
 def test_collapse_sequence_on_three_chain():
     p = chain_poset(3)
     phi = PosetMap(p, p, {0: 0, 1: 1, 2: 1})
-    seq = collapse_sequence_from_closure(p, phi, "descending")
+    seq = collapse_sequence_from_closure(phi, "descending")
     # the 2 is swallowed along 1: first the top pair, then the edge pair
     assert seq.steps == (((0, 2), (0, 1, 2)), ((2,), (1, 2)))
     remaining, report = execute_collapses(order_complex(p), seq)
@@ -41,13 +41,13 @@ def test_collapse_sequence_on_three_chain():
 def test_collapse_sequence_on_vee():
     p = FacePoset([0, 1, 2], [(0, 1), (0, 2)])
     phi = PosetMap(p, p, {0: 0, 1: 1, 2: 0})
-    seq = collapse_sequence_from_closure(p, phi, "descending")
+    seq = collapse_sequence_from_closure(phi, "descending")
     assert seq.steps == (((2,), (0, 2)),)
 
 
 def test_identity_closure_collapses_nothing():
     p = chain_poset(4)
-    seq = collapse_sequence_from_closure(p, PosetMap(p, p, {i: i for i in p.ids}), "descending")
+    seq = collapse_sequence_from_closure(PosetMap(p, p, {i: i for i in p.ids}), "descending")
     assert seq.steps == ()
 
 
@@ -56,20 +56,20 @@ def test_ascending_is_descending_on_dual():
     for _ in range(25):
         p = random_poset(rng, 8)
         phi = random_descending_closure(rng, p)
-        down = collapse_sequence_from_closure(p, phi, "descending")
+        down = collapse_sequence_from_closure(phi, "descending")
         dual_phi = PosetMap(p.dual(), p.dual(), phi.map)
-        up = collapse_sequence_from_closure(p.dual(), dual_phi, "ascending")
+        up = collapse_sequence_from_closure(dual_phi, "ascending")
         assert down.steps == up.steps
 
 
 def test_collapse_rejects_non_closures():
     p = chain_poset(3)
     with pytest.raises(ClosureError, match="idempotence"):
-        collapse_sequence_from_closure(p, PosetMap(p, p, {0: 0, 1: 0, 2: 1}), "descending")
+        collapse_sequence_from_closure(PosetMap(p, p, {0: 0, 1: 0, 2: 1}), "descending")
     with pytest.raises(ClosureError, match="comparison"):
-        collapse_sequence_from_closure(p, PosetMap(p, p, {0: 0, 1: 1, 2: 1}), "ascending")
+        collapse_sequence_from_closure(PosetMap(p, p, {0: 0, 1: 1, 2: 1}), "ascending")
     with pytest.raises(ValueError):
-        collapse_sequence_from_closure(p, PosetMap(p, p, {i: i for i in p.ids}), "diagonal")
+        collapse_sequence_from_closure(PosetMap(p, p, {i: i for i in p.ids}), "diagonal")
 
 
 def test_collapse_lands_exactly_on_image_randomized():
@@ -77,7 +77,7 @@ def test_collapse_lands_exactly_on_image_randomized():
     for _ in range(60):
         p = random_poset(rng, 9)
         phi = random_descending_closure(rng, p)
-        seq = collapse_sequence_from_closure(p, phi, "descending")
+        seq = collapse_sequence_from_closure(phi, "descending")
         remaining, report = execute_collapses(order_complex(p), seq)
         assert report.valid, report.detail
         image_chains = set(image_subposet(phi).chains())
@@ -89,18 +89,18 @@ def test_collapse_lands_exactly_on_image_randomized():
 def test_matching_on_three_chain():
     p = chain_poset(3)
     phi = PosetMap(p, p, {0: 0, 1: 1, 2: 1})
-    m = morse_matching_from_closure(p, phi)
+    m = morse_matching_from_closure(phi)
     named_pairs = {(m.poset.label_of[a], m.poset.label_of[b]) for a, b in m.pairs}
     assert named_pairs == {((2,), (1, 2)), ((0, 2), (0, 1, 2))}
     critical = {m.poset.label_of[c] for c in m.critical}
     assert critical == {(0,), (1,), (0, 1)}
-    ok, cert = verify_acyclic_matching(m.poset, m)
+    ok, cert = verify_acyclic_matching(m)
     assert ok and cert is None
 
 
 def test_matching_identity_closure_leaves_all_critical():
     p = chain_poset(3)
-    m = morse_matching_from_closure(p, PosetMap(p, p, {i: i for i in p.ids}))
+    m = morse_matching_from_closure(PosetMap(p, p, {i: i for i in p.ids}))
     assert not m.pairs
     assert m.critical == frozenset(m.poset.ids)
 
@@ -110,8 +110,8 @@ def test_matching_properties_randomized():
     for _ in range(40):
         p = random_poset(rng, 8)
         phi = random_descending_closure(rng, p)
-        m = morse_matching_from_closure(p, phi)
-        ok, cert = verify_acyclic_matching(m.poset, m)
+        m = morse_matching_from_closure(phi)
+        ok, cert = verify_acyclic_matching(m)
         assert ok, cert
         # critical cells are exactly the chains inside the image
         image = set(phi.map.values())
@@ -134,7 +134,7 @@ def test_matching_critical_count_bounds_betti():
     for _ in range(15):
         p = random_poset(rng, 7)
         phi = random_descending_closure(rng, p)
-        m = morse_matching_from_closure(p, phi)
+        m = morse_matching_from_closure(phi)
         crit_by_dim = {}
         for c in m.critical:
             d = len(m.poset.label_of[c]) - 1
@@ -147,12 +147,12 @@ def test_matching_critical_count_bounds_betti():
 def test_verify_acyclic_matching_rejects_bad_input():
     p = face_poset(order_complex(chain_poset(3)))
     with pytest.raises(ValueError, match="not a cover"):
-        verify_acyclic_matching(p, Matching(p, frozenset({(0, 5)}), frozenset()))
+        verify_acyclic_matching(Matching(p, frozenset({(0, 5)}), frozenset()))
     # ids 0,1,2 are vertices; find two covers sharing an endpoint
     a = p.covers[0]
     b = next(c for c in p.covers if c != a and (c[0] in a or c[1] in a))
     with pytest.raises(ValueError, match="not a matching"):
-        verify_acyclic_matching(p, Matching(p, frozenset({a, b}), frozenset()))
+        verify_acyclic_matching(Matching(p, frozenset({a, b}), frozenset()))
 
 
 def test_verify_acyclic_matching_finds_cycle():
@@ -167,7 +167,7 @@ def test_verify_acyclic_matching_finds_cycle():
         (by_label[(1,)], by_label[(1, 2)]),
         (by_label[(2,)], by_label[(0, 2)]),
     })
-    ok, cert = verify_acyclic_matching(p, Matching(p, pairs, frozenset()))
+    ok, cert = verify_acyclic_matching(Matching(p, pairs, frozenset()))
     assert not ok
     assert cert and len(cert) == 6
     # certificate is a genuine closed walk in the reversed Hasse digraph
@@ -179,8 +179,8 @@ def test_matching_agrees_with_collapse_removals():
     for _ in range(20):
         p = random_poset(rng, 7)
         phi = random_descending_closure(rng, p)
-        seq = collapse_sequence_from_closure(p, phi, "descending")
-        m = morse_matching_from_closure(p, phi)
+        seq = collapse_sequence_from_closure(phi, "descending")
+        m = morse_matching_from_closure(phi)
         seq_pairs = {(a, b) for a, b in seq.steps}
         named = {(m.poset.label_of[a], m.poset.label_of[b]) for a, b in m.pairs}
         assert seq_pairs == named
@@ -206,7 +206,7 @@ def test_fixture_covers_are_single_edge_insertions():
 
 def test_fixture_collapse_and_homology():
     poset, phi = disconnected_graph_fixture(4)
-    seq = collapse_sequence_from_closure(poset, phi, "ascending")
+    seq = collapse_sequence_from_closure(phi, "ascending")
     remaining, report = execute_collapses(order_complex(poset), seq)
     assert report.valid
     image = image_subposet(phi)
@@ -218,7 +218,7 @@ def test_fixture_collapse_and_homology():
 def test_sequence_json_round_trip():
     p = chain_poset(3)
     phi = PosetMap(p, p, {0: 0, 1: 1, 2: 1})
-    seq = collapse_sequence_from_closure(p, phi, "descending")
+    seq = collapse_sequence_from_closure(phi, "descending")
     data = seq.to_json()
     assert data["mode"] == "simplicial"
     assert data["steps"][0] == {"free": [0, 2], "coface": [0, 1, 2]}

@@ -110,6 +110,8 @@ def test_cell_order_is_lexicographic():
     hom = enumerate_hom_cells(complete(2), complete(3))
     keys = [cell_vertex_sets(c) for c in hom.cells]
     assert keys == sorted(keys)
+    for k, cell in enumerate(hom.cells):
+        assert hom.poset.label_of[k] == cell_vertex_sets(cell)
 
 
 def test_covers_add_one_vertex():

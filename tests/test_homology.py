@@ -331,7 +331,7 @@ def test_execute_rejection_branches(ambient, mode, steps, detail):
 def test_compare_collapse_pass_and_failure_modes():
     p = FacePoset(range(3), [(0, 1), (1, 2)])
     phi = PosetMap(p, p, {0: 0, 1: 1, 2: 1})
-    seq = collapse_sequence_from_closure(p, phi, "descending")
+    seq = collapse_sequence_from_closure(phi, "descending")
     ambient = order_complex(p)
     expected = {(0,), (1,), (0, 1)}
     good = compare_collapse(ambient, seq, expected)
@@ -374,6 +374,18 @@ def test_compare_collapse_cw_mode_judges_a_stopped_replay():
     partial = compare_collapse(plan.ambient, CollapseSequence("cw", steps[:1]), plan.retained, "integer")
     assert partial.valid and not partial.remaining_matches
     assert partial.betti_after == partial.betti_before == (1, 0, 1)
+
+
+def test_cw_survivors_are_the_induced_subposet():
+    # legal steps remove maximal cells only, so the survivors are a down-set
+    # whose covers are the ambient's; restrict recomputes them from the order
+    plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
+    steps = plan.sequence.steps
+    for prefix in (steps, steps[:1], steps[:2] + steps[:1]):
+        remaining, _ = execute_collapses(plan.ambient, CollapseSequence("cw", prefix))
+        induced = plan.ambient.restrict(remaining.ids)
+        assert remaining.ids == induced.ids and remaining.covers == induced.covers
+        assert remaining.dim_of == induced.dim_of and remaining.label_of == induced.label_of
 
 
 def _non_product_posets():
@@ -467,7 +479,7 @@ def test_hom_c5_k4_is_projective_space():
 def test_verdict_json_schema():
     p = FacePoset(range(2), [(0, 1)])
     phi = PosetMap(p, p, {0: 0, 1: 0})
-    seq = collapse_sequence_from_closure(p, phi, "descending")
+    seq = collapse_sequence_from_closure(phi, "descending")
     verdict = compare_collapse(order_complex(p), seq, {(0,)})
     data = verdict.to_json()
     assert set(data) == {
@@ -510,7 +522,7 @@ def test_collapse_preserves_betti_randomized():
     for _ in range(30):
         p = random_poset(rng, 8)
         phi = random_descending_closure(rng, p)
-        seq = collapse_sequence_from_closure(p, phi, "descending")
+        seq = collapse_sequence_from_closure(phi, "descending")
         ambient = order_complex(p)
         expected = set(image_subposet(phi).chains())
         verdict = compare_collapse(ambient, seq, expected)

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from homcollapse import (
+    CollapseSequence,
     FacePoset,
     PosetMap,
     SimplicialComplex,
@@ -166,6 +168,35 @@ def test_complex_json_round_trip():
     assert SimplicialComplex.from_json(data).simplices == x.simplices
     with pytest.raises(ValueError):
         SimplicialComplex.from_json({"vertices": [0], "facets": [[0, 1]]})
+
+
+# One template per integer field of the three JSON readers; X is replaced
+# by a JSON number that is not an integer, or by a bool.
+NON_INTEGER_FIELDS = {
+    "complex-facet": (SimplicialComplex, '{"vertices": [0, 1], "facets": [[0, X]]}'),
+    "complex-vertex": (SimplicialComplex, '{"vertices": [0, X], "facets": [[0]]}'),
+    "poset-id": (FacePoset, '{"elements": [{"id": 0, "dim": 0}, {"id": X, "dim": 0}], "covers": []}'),
+    "poset-dim": (FacePoset, '{"elements": [{"id": 0, "dim": X}], "covers": []}'),
+    "poset-cover": (
+        FacePoset,
+        '{"elements": [{"id": 0, "dim": 0}, {"id": 1, "dim": 1}], "covers": [[0, X]]}',
+    ),
+    "cw-step": (CollapseSequence, '{"mode": "cw", "steps": [{"free": 0, "coface": X}]}'),
+    "simplicial-step": (
+        CollapseSequence,
+        '{"mode": "simplicial", "steps": [{"free": [0], "coface": [0, X]}]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("token", ["1e400", "1.5", "true"])
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
+def test_json_readers_accept_only_integers(field, token):
+    # 1e400 reads as inf (int() raises OverflowError); 1.5 and true would
+    # otherwise be truncated to 1
+    reader, template = NON_INTEGER_FIELDS[field]
+    with pytest.raises(ValueError, match="is not an integer"):
+        reader.from_json(json.loads(template.replace("X", token)))
 
 
 def test_verify_closure_operator_laws():
