@@ -80,6 +80,8 @@ def _plan(args):
     g = _read_graph(args.domain)
     h = _read_graph(args.codomain)
     if args.side == "first":
+        if args.order is not None:
+            raise ValueError("--order is a side-second option: side first has no scan order")
         return first_arg_collapse(g, h, _witness(g, args), args.max_cells)
     order = None
     if args.order:
@@ -170,7 +172,12 @@ def cmd_homology(args) -> int:
 
 def cmd_verify(args) -> int:
     plan = _plan(args)
-    verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained, args.coefficients)
+    cells = None
+    if plan.side == "first":  # the theorem: Bd Hom(G, H) collapses onto Bd Hom(G - v, H)
+        cells = (plan.hom.poset, plan.folded.poset)
+    verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained, args.coefficients, cells)
+    if cells is not None and not plan.target_is_folded():
+        verdict.remaining_matches = False
     status = "PASS" if verdict.all_pass else "FAIL"
     _summary(
         args,

@@ -10,6 +10,7 @@ and minimal and maximal, swapped.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -111,16 +112,20 @@ def collapse_sequence_from_closure(phi: PosetMap, direction: str) -> CollapseSeq
         raise ClosureError(report)
     p = phi.source
     if direction == "descending":
-        above, below, first = p.above, p.below, p.minimal_in
+        above, below = p.above, p.below
     else:  # the descending case on the dual, whose chains are those of p
-        above, below, first = p.below, p.above, p.maximal_in
+        above, below = p.below, p.above
     fmap = phi.map
     image = set(fmap.values())
     remaining = set(p.ids)
     steps: list[tuple[Simplex, Simplex]] = []
     moving = remaining - image
-    while moving:
-        x = first(moving)[0]
+    # how many moving elements lie below each moving one; the free (zero) ones wait in a heap by id
+    blockers = {x: len(below(x) & moving) for x in moving}
+    free = [x for x, n in blockers.items() if not n]
+    heapq.heapify(free)
+    while free:
+        x = heapq.heappop(free)
         fx = fmap[x]
         joins = [()] + p.chains(within=above(x) & remaining)
         low = [()] + p.chains(within=below(fx) & remaining)
@@ -130,6 +135,10 @@ def collapse_sequence_from_closure(phi: PosetMap, direction: str) -> CollapseSeq
             steps.append((tuple(sorted(sigma + (x,))), tuple(sorted(sigma + (x, fx)))))
         remaining.discard(x)
         moving.discard(x)
+        for y in above(x) & moving:
+            blockers[y] -= 1
+            if not blockers[y]:
+                heapq.heappush(free, y)
     return CollapseSequence("simplicial", tuple(steps))
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .closure import CollapseSequence, collapse_sequence_from_closure
-from .graphs import FoldWitness, Graph, check_fold
-from .hom import HomComplex, enumerate_hom_cells
+from .graphs import FoldWitness, Graph, apply_fold, check_fold
+from .hom import HomComplex, enumerate_hom_cells, induced_contravariant
 from .posets import PosetMap, order_complex
 
 
@@ -41,11 +41,30 @@ class FoldCollapsePlan:
         """The complex the sequence acts on: the order complex of the cell
         poset for side "first" (simplicial mode), the cell poset itself for
         side "second" (cw mode), whose vertex-set labels give the verifier
-        its cellular homology.  Built on first use, since emitting a plan
-        never reads it."""
+        its cellular homology.  The verifier replays on it; for side first
+        it reads its Betti numbers from hom and folded instead.  Built on
+        first use, since emitting a plan never reads it."""
         if self.side == "second":
             return self.hom.poset
         return order_complex(self.hom.poset)
+
+    @cached_property
+    def folded(self) -> HomComplex:
+        """Hom(G - v, H), enumerated afresh for a side-first plan: the hom
+        complex its target cells should be, up to pulling back along the
+        inclusion G - v -> G.  Setting eta(v) = eta(u) extends every cell of
+        it to one of hom, so it fits the budget that hom fit."""
+        small, _, _ = apply_fold(self.hom.domain, self.witness)
+        return enumerate_hom_cells(small, self.hom.codomain, max(len(self.hom.cells), 1))
+
+    def target_is_folded(self) -> bool:
+        """Whether pulling back along the inclusion G - v -> G carries
+        target_cells one-to-one onto the cells of folded (side first)."""
+        small = self.folded
+        _, _, inclusion = apply_fold(self.hom.domain, self.witness)
+        pull = induced_contravariant(inclusion, self.hom, small).map
+        images = {pull[c] for c in self.target_cells}
+        return len(images) == len(self.target_cells) == len(small.cells)
 
     def to_json(self) -> dict:
         if self.sequence.mode == "cw":
@@ -120,13 +139,13 @@ def second_arg_collapse(
     makes every free face genuine at its turn.
     """
     check_fold(g, w)
-    hom = enumerate_hom_cells(k, g, max_cells)
     if vertex_order is None:
         order = tuple(range(k.n))
     else:
         order = tuple(vertex_order)
         if sorted(order) != list(range(k.n)):
             raise ValueError("vertex_order must be a permutation of the domain's vertices")
+    hom = enumerate_hom_cells(k, g, max_cells)
     v, u = w.v, w.u
     vbit, ubit = 1 << v, 1 << u
     retained = []

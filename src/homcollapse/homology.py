@@ -357,17 +357,22 @@ class Verdict:
         }
 
 
-def compare_collapse(ambient, seq: CollapseSequence, expected_remaining, coefficients: str = "gf2") -> Verdict:
+def compare_collapse(
+    ambient, seq: CollapseSequence, expected_remaining, coefficients: str = "gf2", cells=None
+) -> Verdict:
     """Replay seq on ambient and judge it.
 
     Checks, all independent of how the sequence was produced: every step
     legal, every step removing a (k, k+1) pair so the Euler characteristic
     is pinned stepwise, the survivors equal to expected_remaining, and the
-    Betti numbers unchanged.  In cw mode the Betti numbers are cellular
-    ones, read from the product-cell labels of ambient and of the
-    survivors, which form a subcomplex even when the replay stops early
-    (each legal step removes a free pair); labels that are not product
-    cells raise ValueError.
+    Betti numbers unchanged.  By default those are the Betti numbers of
+    ambient and of the survivors; in cw mode they are cellular ones, read
+    from the product-cell labels, and the survivors form a subcomplex even
+    when the replay stops early (each legal step removes a free pair).
+    cells, a (before, after) pair of product-cell face posets such as the
+    cells of Hom(G, H) and of Hom(G - v, H), replaces ambient and the
+    survivors as the complexes whose Betti numbers are compared.  Labels
+    that are not product cells raise ValueError.
     """
     remaining, report = execute_collapses(ambient, seq)
     euler_ok = report.valid and all(hi == lo + 1 for lo, hi in report.step_dims)
@@ -376,8 +381,9 @@ def compare_collapse(ambient, seq: CollapseSequence, expected_remaining, coeffic
     else:
         survivors = set(remaining.simplices)
     expected = {s if isinstance(s, int) else tuple(s) for s in expected_remaining}
-    bv_before = betti(ambient, coefficients)
-    bv_after = betti(remaining, coefficients)
+    before, after = cells if cells is not None else (ambient, remaining)
+    bv_before = betti(before, coefficients)
+    bv_after = betti(after, coefficients)
     return Verdict(
         valid=report.valid,
         failed_step=report.failed_step,

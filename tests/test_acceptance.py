@@ -137,10 +137,19 @@ def first_sweep(corpus, foldable):
                 skipped += 1
                 continue
             plan = first_arg_collapse(g, h, w, CELL_CAP)
-            verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained)
+            cells = (plan.hom.poset, plan.folded.poset)
+            verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained, cells=cells)
             if not verdict.all_pass:
                 failures.append(f"Hom({gname}, {hname}): {verdict.to_json()}")
-            _, report = execute_collapses(plan.ambient, plan.sequence)
+            remaining, report = execute_collapses(plan.ambient, plan.sequence)
+            # the order complexes of Hom(G, H) and of the survivors are the oracle
+            oracle = (betti(plan.ambient).betti, betti(remaining).betti)
+            if (verdict.betti_before, verdict.betti_after) != oracle:
+                failures.append(
+                    f"Hom({gname}, {hname}): cellular betti {verdict.to_json()} against {oracle}"
+                )
+            if not plan.target_is_folded():
+                failures.append(f"Hom({gname}, {hname}): target does not pull back onto Hom(G - v, H)")
             records.append({"g": gname, "h": hname, "step_dims": report.step_dims})
     return {
         "records": records,
@@ -246,8 +255,9 @@ def test_criterion_3_first_argument_sweep(first_sweep, capsys):
         assert first_sweep["skipped"] == 74
         assert first_sweep["elapsed"] < 120.0
         ok = True
-        detail = (f"241 hom complexes collapsed and verified (74 over the resource "
-                  f"caps skipped), {first_sweep['elapsed']:.1f}s < 120s")
+        detail = (f"241 hom complexes collapsed and verified, cellular betti equal to the "
+                  f"order complex's and targets one-to-one onto Hom(G - v, H) (74 over the "
+                  f"resource caps skipped), {first_sweep['elapsed']:.1f}s < 120s")
     finally:
         announce(capsys, 3, ok, detail)
 

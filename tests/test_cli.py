@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from homcollapse import (
     parse_graph,
     verify_closure_operator,
 )
+from homcollapse import cli
 from homcollapse.cli import main
 
 from helpers import complete, cycle, edgeless, k4_pendant, path_graph
@@ -239,7 +241,7 @@ def test_verify_first_argument_fold(graphs, capsys):
 
 
 def test_verify_first_argument_fold_integer(graphs, capsys, tmp_path):
-    # integer homology of a side-first ambient: the order complex of Hom(P3, K4), 9,098 chains
+    # integer cellular homology of Hom(P3, K4) (254 cells) and of Hom(P3 - 0, K4)
     k4 = tmp_path / "k4.graph"
     k4.write_text(format_graph(complete(4)))
     code, out, _ = run(
@@ -252,6 +254,46 @@ def test_verify_first_argument_fold_integer(graphs, capsys, tmp_path):
     assert verdict["betti_before"] == verdict["betti_after"] == [1, 0, 1]
 
 
+def test_verify_first_argument_fold_integer_c4(capsys, tmp_path):
+    # Hom(C4, K4) and Hom(C4 - 0, K4) = Hom(P3, K4) both have the integral homology of S^2
+    c4, k4 = tmp_path / "c4.graph", tmp_path / "k4.graph"
+    c4.write_text(format_graph(cycle(4)))
+    k4.write_text(format_graph(complete(4)))
+    code, out, err = run(
+        capsys,
+        ["verify", "-G", str(c4), "-H", str(k4), "--side", "first", "--fold-vertex", "0",
+         "--fold-onto", "2", "--coefficients", "integer", "--json"],
+    )
+    assert code == 0 and "verify: PASS" in err
+    verdict = json.loads(out)["verdict"]
+    assert verdict["betti_before"] == verdict["betti_after"] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("tamper", ["drop", "add"])
+def test_verify_first_fails_when_target_is_not_the_folded_complex(graphs, capsys, monkeypatch, tamper):
+    build = cli.first_arg_collapse
+
+    def tampered(*args):
+        plan = build(*args)
+        target = plan.target_cells
+        if tamper == "drop":
+            target = target[1:]
+        else:
+            target += (min(set(range(len(plan.hom.cells))) - set(target)),)
+        return dataclasses.replace(plan, target_cells=target)
+
+    monkeypatch.setattr(cli, "first_arg_collapse", tampered)
+    code, out, err = run(
+        capsys,
+        ["verify", "-G", graphs["p3"], "-H", graphs["k3"],
+         "--side", "first", "--fold-vertex", "0", "--json"],
+    )
+    assert code == 1 and "verify: FAIL" in err
+    verdict = json.loads(out)["verdict"]
+    # the replay still lands on the plan's chains; only the Hom-level check fails
+    assert verdict["valid"] is True and verdict["remaining_matches"] is False
+
+
 def test_verify_first_side_bad_fold_is_input_error(graphs, capsys):
     # the fold is checked before Hom(G, H) is enumerated, so the cell budget is never hit
     code, _, err = run(
@@ -260,6 +302,26 @@ def test_verify_first_side_bad_fold_is_input_error(graphs, capsys):
          "--side", "first", "--fold-vertex", "0", "--fold-onto", "1", "--max-cells", "1"],
     )
     assert code == 2 and "does not dominate" in err
+    # a scan order belongs to side second only
+    for command in ("collapse", "verify"):
+        code, out, err = run(
+            capsys,
+            [command, "-G", graphs["p3"], "-H", graphs["k3"],
+             "--side", "first", "--fold-vertex", "0", "--order", "9,9,9"],
+        )
+        assert code == 2 and "--order" in err and "side-second" in err and not out
+
+
+def test_second_side_bad_order_is_checked_before_enumeration(capsys, tmp_path):
+    k2, k4p = tmp_path / "k2.graph", tmp_path / "k4p.graph"
+    k2.write_text(K2)
+    k4p.write_text(format_graph(k4_pendant()))
+    code, _, err = run(
+        capsys,
+        ["collapse", "-G", str(k2), "-H", str(k4p), "--side", "second", "--fold-vertex", "4",
+         "--order", "0,0", "--max-cells", "1"],
+    )
+    assert code == 2 and "permutation" in err
 
 
 def test_verify_second_argument_fold(graphs, capsys):

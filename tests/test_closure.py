@@ -45,6 +45,22 @@ def test_collapse_sequence_on_vee():
     assert seq.steps == (((2,), (0, 2)),)
 
 
+def test_collapse_frontier_takes_the_smallest_free_id():
+    # 4 < 1 < 0 and 4 < 3: 1 and 3 start free, and removing 1 frees 0, which
+    # goes before the waiting 3 because its id is smaller
+    p = FacePoset([0, 1, 3, 4], [(4, 1), (1, 0), (4, 3)])
+    phi = PosetMap(p, p, dict.fromkeys(p.ids, 4))
+    seq = collapse_sequence_from_closure(phi, "descending")
+    assert seq.steps == (
+        ((0, 1), (0, 1, 4)),
+        ((1,), (1, 4)),
+        ((0,), (0, 4)),
+        ((3,), (3, 4)),
+    )
+    remaining, report = execute_collapses(order_complex(p), seq)
+    assert report.valid and remaining.simplices == {(4,)}
+
+
 def test_identity_closure_collapses_nothing():
     p = chain_poset(4)
     seq = collapse_sequence_from_closure(PosetMap(p, p, {i: i for i in p.ids}), "descending")
