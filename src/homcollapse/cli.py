@@ -49,7 +49,65 @@ def _read_graph(path: str):
 
 
 def _dump(payload, stream) -> None:
-    json.dump(payload, stream, indent=2, sort_keys=True)
+    """Write json.dump(payload, stream, indent=2, sort_keys=True), then a newline.
+
+    With an indent the stdlib skips its C encoder and writes one token at a
+    time, so here each container is one str.join; scalars other than plain
+    ints and strs still go through json.dumps.  Dict keys must be strs, as
+    in every payload the commands build; any other key raises TypeError.
+    The top two levels, and any deeper container of more than 1024 items,
+    are written one item at a time, so the whole text is never held at
+    once.  The helpers are nested because perfbench's tracer wraps every
+    function of this module.
+    """
+    scalar = json.dumps
+    quote = json.encoder.encode_basestring_ascii
+    only_ints = {int}.issuperset  # of map(type, x): exact ints, so no bools
+
+    def encode(x, pad: str) -> str:
+        # pad is the newline and indent of the line x starts on
+        if type(x) is int:
+            return int.__repr__(x)
+        if type(x) is str:
+            return quote(x)
+        if x and isinstance(x, (list, tuple)):
+            inner = pad + "  "
+            if only_ints(map(type, x)):  # int.__repr__(True) is '1', json writes true
+                body = map(int.__repr__, x)
+            else:
+                body = [encode(v, inner) for v in x]
+            return "[" + inner + ("," + inner).join(body) + pad + "]"
+        if x and isinstance(x, dict):
+            inner = pad + "  "
+            body = [quote(k) + ": " + encode(v, inner) for k, v in sorted(x.items())]
+            return "{" + inner + ("," + inner).join(body) + pad + "}"
+        return scalar(x)
+
+    def streamed(x, top: bool) -> bool:
+        return isinstance(x, (list, tuple, dict)) and len(x) > (0 if top else 1024)
+
+    def pieces(x, pad: str, top: bool):
+        inner = pad + "  "
+        if isinstance(x, dict):
+            items = [(quote(k) + ": ", v) for k, v in sorted(x.items())]
+            yield "{"
+        else:
+            items = (("", v) for v in x)  # no copy of a long list
+            yield "["
+        sep = inner
+        for prefix, v in items:
+            if streamed(v, top):
+                yield sep + prefix
+                yield from pieces(v, inner, False)
+            else:
+                yield sep + prefix + encode(v, inner)
+            sep = "," + inner
+        yield pad + ("}" if isinstance(x, dict) else "]")
+
+    if streamed(payload, True):
+        stream.writelines(pieces(payload, "\n", True))
+    else:
+        stream.write(encode(payload, "\n"))
     stream.write("\n")
 
 
@@ -140,6 +198,8 @@ def _load_complex(path: str):
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path} nests its JSON too deeply to read") from None
     if isinstance(data, dict) and "facets" in data:
         return SimplicialComplex.from_json(data)
     if isinstance(data, dict) and "elements" in data:
@@ -198,6 +258,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, not {args.count}")
+    if args.max_elements < 1:
+        raise ValueError(f"--max-elements must be at least 1, not {args.max_elements}")
     rng = random.Random(args.seed)
     fixtures = []
     for _ in range(args.count):

@@ -115,6 +115,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"vertex count {parts[1]!r} is not an integer", line_no) from None
             if n < 0:
                 raise GraphParseError("vertex count must be non-negative", line_no)
+            n_line = line_no
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError("edge listed before the 'n' header", line_no)
@@ -131,7 +132,10 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(f"unknown directive {parts[0]!r}", line_no)
     if n is None:
         raise GraphParseError("missing 'n' header")
-    return Graph.from_edges(n, edges)
+    try:
+        return Graph.from_edges(n, edges)
+    except OverflowError:  # the adjacency table cannot even be sized
+        raise GraphParseError(f"vertex count {n} is too large", n_line) from None
 
 
 def format_graph(g: Graph) -> str:

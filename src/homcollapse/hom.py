@@ -103,21 +103,25 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
             stack.append(choices(len(stack)))
         else:
             stack.pop()
-    cells = sorted((cell_vertex_sets(c), c) for c in cells)  # sets are unique; rebinding frees the pairs
+    # the vertex set of each mask that occurs, built once and shared by every label
+    vertex_set = {m: tuple(bits(m)) for m in {m for c in cells for m in c}}
+    # labels are unique, so they alone order the cells; rebinding frees the pairs
+    cells = sorted((tuple(map(vertex_set.__getitem__, c)), c) for c in cells)
     labels = dict(enumerate(sets for sets, _ in cells))
     cells = [c for _, c in cells]
     index = {c: k for k, c in enumerate(cells)}
     covers = []
     for cid, cell in enumerate(cells):
         for x, m in enumerate(cell):
-            if m.bit_count() > 1:
-                for a in bits(m):
+            vs = vertex_set[m]
+            if len(vs) > 1:
+                for a in vs:
                     face = cell[:x] + (m ^ (1 << a),) + cell[x + 1 :]
                     covers.append((index[face], cid))
     poset = FacePoset(
         range(len(cells)),
         covers,
-        {k: cell_dim(c) for k, c in enumerate(cells)},
+        {k: sum(map(len, sets)) - g.n for k, sets in labels.items()},
         labels,
     )
     return HomComplex(g, h, tuple(cells), poset, index)

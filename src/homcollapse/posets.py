@@ -192,6 +192,8 @@ def json_int(x) -> int:
 
 
 def _jsonable(x):
+    if isinstance(x, int):
+        return x
     if isinstance(x, (tuple, list)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (frozenset, set)):

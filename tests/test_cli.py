@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import random
 
 import pytest
 
@@ -18,6 +20,10 @@ from helpers import complete, cycle, edgeless, k4_pendant, path_graph
 K2 = "n 2\ne 0 1\n"
 K3 = "n 3\ne 0 1\ne 0 2\ne 1 2\n"
 P3 = "n 3\ne 0 1\ne 1 2\n"
+RP2_FACETS = [
+    [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+    [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
+]
 
 
 @pytest.fixture
@@ -169,13 +175,7 @@ def test_homology_from_poset_file(capsys, tmp_path):
 
 def test_homology_torsion_in_integer_mode(capsys, tmp_path):
     path = tmp_path / "rp2.json"
-    path.write_text(json.dumps({
-        "vertices": list(range(6)),
-        "facets": [
-            [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
-            [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
-        ],
-    }))
+    path.write_text(json.dumps({"vertices": list(range(6)), "facets": RP2_FACETS}))
     code, out, err = run(
         capsys, ["homology", "--complex", str(path), "--coefficients", "integer", "--json"]
     )
@@ -222,6 +222,12 @@ def test_homology_input_errors(capsys, tmp_path):
     huge.write_text('{"vertices": [0], "facets": [[1e400]]}')
     code, _, err = run(capsys, ["homology", "--complex", str(huge)])
     assert code == 2 and "not an integer" in err
+
+    # the stdlib decoder raises RecursionError long before this depth
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, ["homology", "--complex", str(deep)])
+    assert code == 2 and "too deeply" in err
 
 
 def test_verify_first_argument_fold(graphs, capsys):
@@ -399,3 +405,96 @@ def test_gen_is_seed_stable(capsys):
     _, out3, _ = run(capsys, ["gen", "--seed", "10", "--count", "3", "--json"])
     assert out1 == out2
     assert out1 != out3
+
+
+def test_gen_rejects_bad_sizes(capsys):
+    for flag, value in (("--count", "-2"), ("--max-elements", "0")):
+        code, out, err = run(capsys, ["gen", "--seed", "1", flag, value, "--json"])
+        assert code == 2 and flag in err and not out
+
+
+def dumped(payload) -> str:
+    out = io.StringIO()
+    cli._dump(payload, out)
+    return out.getvalue()
+
+
+def oracle(payload) -> str:
+    out = io.StringIO()
+    json.dump(payload, out, indent=2, sort_keys=True)
+    return out.getvalue() + "\n"
+
+
+def random_payload(rng, depth=0):
+    """Anything json.dump takes with str keys, bools inside int lists and
+    text that needs escaping."""
+    kind = rng.randrange(8 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([0, -1, 7, 2**70, -(10**20), rng.randint(-999, 999)])
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1.5, -2.5e-7, 1e300, float("inf"), float("-inf"), float("nan")])
+    if kind == 3:
+        return "".join(rng.choice('ab"\\/\n\t\x00\x1f\x7fé\u2028π😀 ') for _ in range(rng.randrange(6)))
+    if kind == 4:
+        ints = [rng.randint(-99, 99) for _ in range(rng.randrange(6))]
+        if ints and rng.random() < 0.3:
+            ints[rng.randrange(len(ints))] = rng.choice([True, False])
+        return ints if rng.random() < 0.5 else tuple(ints)
+    items = [random_payload(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {rng.choice(["id", "dim", "label", "a\"b", "\\", "é", "", "😀"]) + str(i): v
+            for i, v in enumerate(items)}
+
+
+def test_dump_matches_json_dump_on_random_payloads():
+    rng = random.Random(9)
+    payloads = [random_payload(rng) for _ in range(3000)]
+    payloads += [7, "x", None, 1.5, True, [], {}, (), [[]], [{}], {"": []}]
+    # containers of more than 1024 items below the top two levels are streamed too
+    payloads.append({"plan": {
+        "ints": list(range(1500)),
+        "pairs": [[i, i % 2 == 0] for i in range(1100)],
+        "keys": {str(i): [i] for i in range(1030)},
+        "deeper": [tuple(range(i, i + 3)) for i in range(1200)],
+    }})
+    for payload in payloads:
+        assert dumped(payload) == oracle(payload), payload
+    # json writes a bool as true, though int.__repr__(True) is "1"
+    assert dumped([1, True, 0]) == "[\n  1,\n  true,\n  0\n]\n"
+    with pytest.raises(TypeError):
+        dumped({1: 2})
+
+
+def test_dump_matches_json_dump_on_every_command(graphs, capsys, monkeypatch, tmp_path):
+    rp2 = tmp_path / "rp2.json"
+    rp2.write_text(json.dumps({"vertices": list(range(6)), "facets": RP2_FACETS}))
+    commands = {
+        "hom": ["hom", "-G", graphs["p3"], "-H", graphs["k3"]],
+        "fold list": ["fold", "-G", graphs["p3"]],
+        "fold apply": ["fold", "-G", graphs["p3"], "--fold-vertex", "0"],
+        "collapse first": ["collapse", "-G", graphs["p3"], "-H", graphs["k3"],
+                           "--side", "first", "--fold-vertex", "0"],
+        "collapse second": ["collapse", "-G", graphs["k2"], "-H", graphs["p3"],
+                            "--side", "second", "--fold-vertex", "0", "--order", "1,0"],
+        "homology torsion": ["homology", "--complex", str(rp2), "--coefficients", "integer"],
+        "homology gf2": ["homology", "-G", graphs["k2"], "-H", graphs["k3"]],
+        "verify": ["verify", "-G", graphs["p3"], "-H", graphs["k3"], "--side", "first", "--fold-vertex", "0"],
+        "gen": ["gen", "--seed", "5", "--count", "3"],
+    }
+    payloads = {}
+    for command, argv in commands.items():
+        # keep the payload as the command built it, tuples included
+        monkeypatch.setattr(cli, "_dump", lambda payload, stream, c=command: payloads.setdefault(c, payload))
+        assert main(argv + ["--json"]) == 0, command
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert payloads.keys() == commands.keys()
+    assert payloads["homology torsion"]["torsion"] == [[], [2]]
+    assert payloads["homology gf2"]["torsion"] is None
+    for command, payload in payloads.items():
+        assert dumped(payload) == oracle(payload), command

@@ -112,6 +112,7 @@ def test_cell_order_is_lexicographic():
     assert keys == sorted(keys)
     for k, cell in enumerate(hom.cells):
         assert hom.poset.label_of[k] == cell_vertex_sets(cell)
+        assert hom.poset.dim_of[k] == cell_dim(cell)
 
 
 def test_covers_add_one_vertex():
