@@ -239,12 +239,14 @@ def cmd_verify(args) -> int:
     if cells is not None and not plan.target_is_folded():
         verdict.remaining_matches = False
     status = "PASS" if verdict.all_pass else "FAIL"
-    _summary(
-        args,
+    line = (
         f"verify: {status} side={plan.side} fold=({plan.witness.v},{plan.witness.u}) "
         f"ambient_cells={len(plan.hom.cells)} target_cells={len(plan.target_cells)} "
-        f"betti={list(verdict.betti_before)}->{list(verdict.betti_after)}",
+        f"betti={list(verdict.betti_before)}->{list(verdict.betti_after)}"
     )
+    if verdict.failure is not None:  # only a failed replay has one
+        line += f"  failure: {verdict.failure}"
+    _summary(args, line)
     _emit(args, {
         "verdict": verdict.to_json(),
         "side": plan.side,

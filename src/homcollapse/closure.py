@@ -59,11 +59,7 @@ class CollapseSequence:
         return CollapseSequence(self.mode, self.steps + other.steps)
 
     def to_json(self) -> dict:
-        if self.mode == "cw":
-            steps = [{"free": a, "coface": b} for a, b in self.steps]
-        else:
-            steps = [{"free": list(a), "coface": list(b)} for a, b in self.steps]
-        return {"mode": self.mode, "steps": steps}
+        return {"mode": self.mode, "steps": [{"free": a, "coface": b} for a, b in self.steps]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CollapseSequence":
@@ -90,10 +86,7 @@ class Matching:
     critical: frozenset[int]
 
     def to_json(self) -> dict:
-        return {
-            "pairs": sorted([a, b] for a, b in self.pairs),
-            "critical": sorted(self.critical),
-        }
+        return {"pairs": sorted(self.pairs), "critical": sorted(self.critical)}
 
 
 def collapse_sequence_from_closure(phi: PosetMap, direction: str) -> CollapseSequence:

@@ -67,17 +67,13 @@ class FoldCollapsePlan:
         return len(images) == len(self.target_cells) == len(small.cells)
 
     def to_json(self) -> dict:
-        if self.sequence.mode == "cw":
-            retained = sorted(self.retained)
-        else:
-            retained = sorted(list(s) for s in self.retained)
         return {
             "side": self.side,
             "v": self.witness.v,
             "u": self.witness.u,
-            "vertex_order": list(self.vertex_order) if self.vertex_order is not None else None,
+            "vertex_order": self.vertex_order,
             "sequence": self.sequence.to_json(),
-            "retained": retained,
+            "retained": sorted(self.retained),
         }
 
 

@@ -21,6 +21,10 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
+# the most vertices a graph file may declare, checked before anything is allocated
+MAX_VERTICES = 1 << 16
+
+
 class FoldError(ValueError):
     """A claimed fold witness fails the neighborhood-domination check."""
 
@@ -94,7 +98,8 @@ def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
     Accepted lines: blank, ``# comment``, one ``n <count>`` header (which
-    must precede every edge), and ``e <u> <v>`` with 0-based endpoints.
+    must precede every edge and count at most MAX_VERTICES), and
+    ``e <u> <v>`` with 0-based endpoints.
     Anything else is a GraphParseError naming the line.
     """
     n = None
@@ -115,7 +120,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"vertex count {parts[1]!r} is not an integer", line_no) from None
             if n < 0:
                 raise GraphParseError("vertex count must be non-negative", line_no)
-            n_line = line_no
+            if n > MAX_VERTICES:
+                raise GraphParseError(f"vertex count {n} is too large", line_no)
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError("edge listed before the 'n' header", line_no)
@@ -132,10 +138,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(f"unknown directive {parts[0]!r}", line_no)
     if n is None:
         raise GraphParseError("missing 'n' header")
-    try:
-        return Graph.from_edges(n, edges)
-    except OverflowError:  # the adjacency table cannot even be sized
-        raise GraphParseError(f"vertex count {n} is too large", n_line) from None
+    return Graph.from_edges(n, edges)
 
 
 def format_graph(g: Graph) -> str:

@@ -328,7 +328,9 @@ def _cellular_chains(p: FacePoset):
 
 @dataclass
 class Verdict:
-    """Cross-checks of one collapse plan; all four components must hold."""
+    """Cross-checks of one collapse plan; all four components must hold.
+    failure names the first illegal step and why, or is None when the
+    replay is valid."""
 
     valid: bool
     failed_step: int | None
@@ -336,6 +338,7 @@ class Verdict:
     betti_before: tuple[int, ...]
     betti_after: tuple[int, ...]
     remaining_matches: bool
+    failure: str | None = None
 
     @property
     def all_pass(self) -> bool:
@@ -351,8 +354,8 @@ class Verdict:
             "valid": self.valid,
             "failed_step": self.failed_step,
             "euler_invariant": self.euler_invariant,
-            "betti_before": list(self.betti_before),
-            "betti_after": list(self.betti_after),
+            "betti_before": self.betti_before,
+            "betti_after": self.betti_after,
             "remaining_matches": self.remaining_matches,
         }
 
@@ -391,4 +394,5 @@ def compare_collapse(
         betti_before=bv_before.betti,
         betti_after=bv_after.betti,
         remaining_matches=report.valid and survivors == expected,
+        failure=report.detail,
     )

@@ -23,27 +23,25 @@ class FacePoset:
         labels: Mapping[int, Any] | None = None,
     ):
         self.ids: tuple[int, ...] = tuple(elements)
-        idset = set(self.ids)
-        if len(idset) != len(self.ids):
-            raise ValueError("duplicate element ids")
         self.dim_of = dict(dims) if dims is not None else {}
         self.label_of = dict(labels) if labels is not None else {}
         up: dict[int, list[int]] = {i: [] for i in self.ids}
+        if len(up) != len(self.ids):
+            raise ValueError("duplicate element ids")
         down: dict[int, list[int]] = {i: [] for i in self.ids}
-        seen = set()
         for lo, hi in covers:
-            if lo not in idset or hi not in idset:
+            if lo not in up or hi not in up:
                 raise ValueError(f"cover ({lo}, {hi}) references an unknown element")
             if lo == hi:
                 raise ValueError(f"cover ({lo}, {hi}) relates an element to itself")
-            if (lo, hi) in seen:
-                continue
-            seen.add((lo, hi))
             up[lo].append(hi)
             down[hi].append(lo)
-        self.covers: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self.upper = {i: tuple(sorted(up[i])) for i in self.ids}
-        self.lower = {i: tuple(sorted(down[i])) for i in self.ids}
+        # a repeated cover counts once
+        self.upper = {i: tuple(sorted(set(ys))) for i, ys in up.items()}
+        self.lower = {i: tuple(sorted(set(ys))) for i, ys in down.items()}
+        self.covers: tuple[tuple[int, int], ...] = tuple(
+            (a, b) for a in sorted(self.ids) for b in self.upper[a]
+        )
         self._topo = self._toposort()
         self._above: dict[int, frozenset[int]] | None = None
         self._below: dict[int, frozenset[int]] | None = None
@@ -164,10 +162,10 @@ class FacePoset:
     def to_json(self) -> dict:
         return {
             "elements": [
-                {"id": i, "dim": self.dim_of.get(i, -1), "label": _jsonable(self.label_of.get(i))}
+                {"id": i, "dim": self.dim_of.get(i, -1), "label": self.label_of.get(i)}
                 for i in self.ids
             ],
-            "covers": [list(c) for c in self.covers],
+            "covers": self.covers,
         }
 
     @classmethod
@@ -188,16 +186,6 @@ def json_int(x) -> int:
     """x if it is a JSON integer: never a float (1e400 reads as inf) or bool."""
     if type(x) is not int:
         raise ValueError(f"{x!r} is not an integer")
-    return x
-
-
-def _jsonable(x):
-    if isinstance(x, int):
-        return x
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (frozenset, set)):
-        return sorted(_jsonable(v) for v in x)
     return x
 
 
@@ -255,10 +243,7 @@ class SimplicialComplex:
         return sorted(self.simplices - non_max, key=lambda s: (len(s), s))
 
     def to_json(self) -> dict:
-        return {
-            "vertices": self.vertices(),
-            "facets": [list(f) for f in self.facets()],
-        }
+        return {"vertices": self.vertices(), "facets": self.facets()}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SimplicialComplex":

@@ -6,8 +6,14 @@ lists, homomorphism search over raw product loops.
 """
 
 import itertools
+import json
 
 from homcollapse import Graph
+
+
+def as_read(value):
+    """value as a reader gets it back from a JSON file: tuples come back as lists."""
+    return json.loads(json.dumps(value))
 
 
 def complete(n):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import random
@@ -294,10 +295,69 @@ def test_verify_first_fails_when_target_is_not_the_folded_complex(graphs, capsys
         ["verify", "-G", graphs["p3"], "-H", graphs["k3"],
          "--side", "first", "--fold-vertex", "0", "--json"],
     )
-    assert code == 1 and "verify: FAIL" in err
+    assert code == 1 and "verify: FAIL" in err and "failure" not in err
     verdict = json.loads(out)["verdict"]
     # the replay still lands on the plan's chains; only the Hom-level check fails
     assert verdict["valid"] is True and verdict["remaining_matches"] is False
+
+
+PAW = "n 4\ne 0 1\ne 0 2\ne 1 2\ne 2 3\n"  # a triangle with vertex 3 hanging off 2
+# Per tamper: the plan's steps it expects, how it rewrites them, the step the
+# replay stops at and the reason it gives.
+TAMPERED_STEPS = {
+    # Hom(P3, K3), fold 0 onto 2, on the order complex: 11 is the square
+    # ({0, 2}, {1}, {0, 2}), and (1,) lies in (0, 1), (1, 2) and (1, 11)
+    "first": (
+        (((0, 1), (0, 1, 11)), ((1, 2), (1, 2, 11)), ((1,), (1, 11))),
+        {
+            "swap": (lambda s: s[:1] + (s[2], s[1]) + s[3:],
+                     1, "step 1: cell (1,) is not free: (1, 2) also covers it"),
+            "drop": (lambda s: s[1:], 1, "step 1: cell (1,) is not free: (0, 1) also covers it"),
+            "retarget": (lambda s: ((s[0][0], (0, 11)),) + s[1:],
+                         0, "step 0: (0, 11) does not cover (0, 1)"),
+        },
+    ),
+    # Hom(K2, paw), fold 3 onto 0, on the cells: 19 = ({3}, {2}) lies in
+    # 6 = ({0, 3}, {2}) and 11 = ({1, 3}, {2}); 18 = ({2}, {3}) lies in
+    # 15 = ({2}, {0, 3}) and 17 = ({2}, {1, 3})
+    "second": (
+        ((11, 4), (19, 6), (17, 14), (18, 15)),
+        {
+            "swap": (lambda s: (s[1], s[0]) + s[2:], 0, "step 0: cell 19 is not free: 11 also covers it"),
+            "drop": (lambda s: s[:2] + s[3:], 2, "step 2: cell 18 is not free: 17 also covers it"),
+            "retarget": (lambda s: ((s[0][0], 6),) + s[1:], 0, "step 0: 6 does not cover 11"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", ["swap", "drop", "retarget"])
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_verify_names_the_failed_step_of_a_tampered_plan(graphs, capsys, monkeypatch, tmp_path, side, tamper):
+    expected_steps, tampers = TAMPERED_STEPS[side]
+    rewrite, failed_step, failure = tampers[tamper]
+    builder = f"{side}_arg_collapse"
+    build = getattr(cli, builder)
+
+    def tampered(*args):
+        plan = build(*args)
+        steps = plan.sequence.steps
+        assert steps[: len(expected_steps)] == expected_steps
+        return dataclasses.replace(plan, sequence=dataclasses.replace(plan.sequence, steps=rewrite(steps)))
+
+    monkeypatch.setattr(cli, builder, tampered)
+    if side == "first":
+        argv = ["-G", graphs["p3"], "-H", graphs["k3"], "--fold-vertex", "0"]
+    else:
+        paw = tmp_path / "paw.graph"
+        paw.write_text(PAW)
+        argv = ["-G", graphs["k2"], "-H", str(paw), "--fold-vertex", "3"]
+    code, out, err = run(capsys, ["verify", *argv, "--side", side, "--json"])
+    assert code == 1
+    verdict = json.loads(out)["verdict"]
+    assert verdict["valid"] is False and verdict["failed_step"] == failed_step
+    assert verdict["remaining_matches"] is False and "failure" not in verdict
+    assert err.startswith("verify: FAIL") and err.endswith(f"  failure: {failure}\n")
 
 
 def test_verify_first_side_bad_fold_is_input_error(graphs, capsys):
@@ -385,6 +445,33 @@ def test_hom_deep_domain_is_not_bounded_by_recursion(capsys, tmp_path):
     code, out, err = run(capsys, ["hom", "-G", str(e1200), "-H", str(loop)])
     assert code == 0 and err == ""
     assert "cells: 1 " in out
+
+
+# SHA-256 of the --out file of each command, so that any change to the bytes
+# the writer produces fails here
+PINNED_OUT = {
+    "hom": (["hom", "-G", "p3", "-H", "k4"],
+            "fd5300bd28d59f11b0195c887faa15c8934670a459d4f02318f0c4e5b958dba8"),
+    "collapse-first": (["collapse", "-G", "p3", "-H", "k4", "--side", "first", "--fold-vertex", "0"],
+                       "c42e46485e888a6d9d588bd7d0b17406e740b085befa5b44d88a1da85be7369a"),
+    "collapse-second": (["collapse", "-G", "c5", "-H", "k4p", "--side", "second", "--fold-vertex", "4"],
+                        "5ba474eaf81556e48ba46ab8f4266448b0221c1e43b40cf234c035332efa9df4"),
+    "gen": (["gen", "--seed", "5"],
+            "b60367e81d2ec8ef5cf452b634080d05904e243073b90b822aabf1f11d26e6be"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUT))
+def test_out_file_bytes_are_pinned(capsys, tmp_path, name):
+    argv, digest = PINNED_OUT[name]
+    files = {}
+    for graph, g in (("p3", path_graph(3)), ("k4", complete(4)), ("c5", cycle(5)), ("k4p", k4_pendant())):
+        files[graph] = tmp_path / f"{graph}.graph"
+        files[graph].write_text(format_graph(g))
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, [str(files.get(a, a)) for a in argv] + ["--out", str(out)])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gen_fixtures_round_trip(capsys):

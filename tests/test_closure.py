@@ -21,6 +21,7 @@ from homcollapse import (
     verify_acyclic_matching,
     verify_closure_operator,
 )
+from helpers import as_read
 
 
 def chain_poset(n):
@@ -235,11 +236,11 @@ def test_sequence_json_round_trip():
     p = chain_poset(3)
     phi = PosetMap(p, p, {0: 0, 1: 1, 2: 1})
     seq = collapse_sequence_from_closure(phi, "descending")
-    data = seq.to_json()
+    data = as_read(seq.to_json())
     assert data["mode"] == "simplicial"
     assert data["steps"][0] == {"free": [0, 2], "coface": [0, 1, 2]}
     assert CollapseSequence.from_json(data) == seq
     cw = CollapseSequence("cw", ((3, 7),))
-    assert CollapseSequence.from_json(cw.to_json()) == cw
+    assert CollapseSequence.from_json(as_read(cw.to_json())) == cw
     with pytest.raises(ValueError):
         CollapseSequence("cubical", ())

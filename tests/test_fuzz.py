@@ -24,7 +24,7 @@ from homcollapse import (
     parse_graph,
     second_arg_collapse,
 )
-from helpers import complete, cycle, k4_pendant, path_graph
+from helpers import as_read, complete, cycle, k4_pendant, path_graph
 
 MUTANTS = 400
 JUNK = [None, True, False, 0, 1, -1, 2, 7, 1.5, 1e400, "", "0", "id", [], [0], [0, 1], [[0, 1]],
@@ -65,20 +65,22 @@ def mutate_json(rng, data):
 
 
 def valid_inputs(reader):
+    """Valid inputs as a reader gets them from a file, so that nodes reaches
+    inside every array, tuples in to_json output included."""
     p3, k3 = path_graph(3), complete(3)
     if reader is FacePoset:
         return [
-            face_poset(SimplicialComplex.from_facets([(0, 1, 2), (2, 3)])).to_json(),
-            enumerate_hom_cells(p3, k3).to_json(),
+            as_read(face_poset(SimplicialComplex.from_facets([(0, 1, 2), (2, 3)])).to_json()),
+            as_read(enumerate_hom_cells(p3, k3).to_json()),
         ]
     if reader is SimplicialComplex:
         return [
-            SimplicialComplex.from_facets([(0, 1, 2), (2, 3)]).to_json(),
-            SimplicialComplex.from_facets([(0, 1), (1, 2), (0, 2), (4,)]).to_json(),
+            as_read(SimplicialComplex.from_facets([(0, 1, 2), (2, 3)]).to_json()),
+            as_read(SimplicialComplex.from_facets([(0, 1), (1, 2), (0, 2), (4,)]).to_json()),
         ]
     return [
-        first_arg_collapse(p3, k3, FoldWitness(0, 2)).sequence.to_json(),
-        second_arg_collapse(path_graph(2), k4_pendant(), FoldWitness(4, 1)).sequence.to_json(),
+        as_read(first_arg_collapse(p3, k3, FoldWitness(0, 2)).sequence.to_json()),
+        as_read(second_arg_collapse(path_graph(2), k4_pendant(), FoldWitness(4, 1)).sequence.to_json()),
         {"mode": "cw", "steps": []},
         {"mode": "simplicial", "steps": []},
     ]
@@ -100,6 +102,21 @@ def test_json_readers_raise_value_errors_on_mutants(reader):
             continue
         read += 1
     assert read < MUTANTS  # the mutations do reach the error paths
+
+
+def test_mutations_reach_inside_covers_labels_and_steps():
+    # an array held as a tuple would hide its items from nodes, and so from every mutant
+    def reached(data, inner):
+        return any(parent is inner for parent, _ in nodes(data))
+
+    face, hom = valid_inputs(FacePoset)
+    for data in (face, hom):
+        assert reached(data, data["covers"][0]) and reached(data, data["elements"][-1]["label"])
+    assert reached(hom, hom["elements"][-1]["label"][0])
+    for data in valid_inputs(SimplicialComplex):
+        assert reached(data, data["facets"][0])
+    simplicial = valid_inputs(CollapseSequence)[0]
+    assert reached(simplicial, simplicial["steps"][0]["free"])
 
 
 GRAPH_TOKENS = ["n", "e", "#", "-1", "0", "1", "2", "9", "x", "1.5", "0x1", "1e3", "1_0", "٣",

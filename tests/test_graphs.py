@@ -46,8 +46,9 @@ def test_parse_duplicate_edges_collapse():
         ("n 2\ne 0\n", "expected"),
         ("", "missing 'n'"),
         ("n -1\n", "non-negative"),
-        # past the platform's index range, so no adjacency table is ever allocated
+        # past the vertex bound, which is checked before any adjacency table is allocated
         ("n 100000000000000000000000000000\n", "is too large"),
+        ("n 100000000000\n", "is too large"),
     ],
 )
 def test_parse_errors(text, fragment):

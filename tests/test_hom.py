@@ -17,6 +17,7 @@ from homcollapse import (
     is_homomorphism,
 )
 from helpers import (
+    as_read,
     brute_hom_cells,
     brute_homs,
     complete,
@@ -230,6 +231,6 @@ def test_induced_rejects_non_homomorphism():
 
 def test_hom_json_uses_poset_schema():
     hom = enumerate_hom_cells(complete(2), complete(3))
-    data = hom.to_json()
+    data = as_read(hom.to_json())
     assert {"elements", "covers"} == set(data)
     assert data["elements"][0]["label"] == [[0], [1]]

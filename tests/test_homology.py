@@ -30,7 +30,7 @@ from homcollapse import (
 
 from homcollapse.homology import _cellular_chains
 
-from helpers import complete, cycle, k4_pendant, path_graph
+from helpers import as_read, complete, cycle, k4_pendant, path_graph
 
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -481,7 +481,7 @@ def test_verdict_json_schema():
     phi = PosetMap(p, p, {0: 0, 1: 0})
     seq = collapse_sequence_from_closure(phi, "descending")
     verdict = compare_collapse(order_complex(p), seq, {(0,)})
-    data = verdict.to_json()
+    data = as_read(verdict.to_json())
     assert set(data) == {
         "valid", "failed_step", "euler_invariant",
         "betti_before", "betti_after", "remaining_matches",

@@ -17,7 +17,7 @@ from homcollapse import (
     verify_closure_operator,
 )
 from homcollapse.closure import disconnected_graph_fixture
-from helpers import brute_chains, brute_le
+from helpers import as_read, brute_chains, brute_le
 
 
 def chain_poset(n):
@@ -38,6 +38,23 @@ def test_poset_rejects_cycles_and_bad_covers():
         FacePoset([0, 0], [])
     with pytest.raises(ValueError):
         FacePoset([0], [(0, 0)])
+
+
+def test_covers_given_shuffled_and_repeated_build_the_same_poset():
+    rng = random.Random(23)
+    for _ in range(60):
+        p = random_poset(rng, 10)
+        # ids in an order that is not sorted, so the cover order has to be made
+        name = dict(zip(p.ids, rng.sample(range(100), len(p))))
+        ids = [name[i] for i in p.ids]
+        unique = sorted((name[a], name[b]) for a, b in p.covers)
+        given = unique + rng.choices(unique, k=len(unique) // 2)
+        rng.shuffle(given)
+        q, ref = FacePoset(ids, given), FacePoset(ids, unique)
+        assert q.covers == ref.covers == tuple(unique)
+        assert q.upper == ref.upper and q.lower == ref.lower
+        assert all(ys == tuple(sorted(set(ys))) for ys in q.upper.values())
+        assert q.to_json() == ref.to_json()
 
 
 def test_reachability_on_chain():
@@ -143,7 +160,7 @@ def test_f_vector_and_euler():
 
 def test_poset_json_round_trip():
     p = face_poset(SimplicialComplex.from_facets([(0, 1, 2)]))
-    data = p.to_json()
+    data = as_read(p.to_json())
     q = FacePoset.from_json(data)
     assert q.ids == p.ids and q.covers == p.covers
     assert q.dim_of == p.dim_of
@@ -163,7 +180,7 @@ def test_poset_json_rejects_transitive_cover():
 
 def test_complex_json_round_trip():
     x = SimplicialComplex.from_facets([(0, 1, 2), (2, 3)])
-    data = x.to_json()
+    data = as_read(x.to_json())
     assert data["vertices"] == [0, 1, 2, 3]
     assert SimplicialComplex.from_json(data).simplices == x.simplices
     with pytest.raises(ValueError):
