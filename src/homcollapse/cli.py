@@ -158,6 +158,8 @@ def cmd_hom(args) -> int:
 
 
 def cmd_fold(args) -> int:
+    if args.v is None and args.u is not None:
+        raise ValueError("--fold-onto needs --fold-vertex")
     g = _read_graph(args.graph)
     if args.v is None:
         witnesses = find_folds(g)
@@ -209,6 +211,9 @@ def _load_complex(path: str):
 
 def cmd_homology(args) -> int:
     if args.complex:
+        if args.domain is not None or args.codomain is not None:
+            flag = "-G" if args.domain is not None else "-H"
+            raise ValueError(f"{flag} cannot be combined with --complex")
         x = _load_complex(args.complex)
     else:
         if not (args.domain and args.codomain):
@@ -237,6 +242,8 @@ def cmd_verify(args) -> int:
         cells = (plan.hom.poset, plan.folded.poset)
     verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained, args.coefficients, cells)
     if cells is not None and not plan.target_is_folded():
+        if verdict.euler_invariant and verdict.remaining_matches:  # no earlier check failed
+            verdict.failure = "target cells do not pull back one-to-one onto Hom(G - v, H)"
         verdict.remaining_matches = False
     status = "PASS" if verdict.all_pass else "FAIL"
     line = (
@@ -244,7 +251,7 @@ def cmd_verify(args) -> int:
         f"ambient_cells={len(plan.hom.cells)} target_cells={len(plan.target_cells)} "
         f"betti={list(verdict.betti_before)}->{list(verdict.betti_after)}"
     )
-    if verdict.failure is not None:  # only a failed replay has one
+    if verdict.failure is not None:  # only a FAIL has one
         line += f"  failure: {verdict.failure}"
     _summary(args, line)
     _emit(args, {
@@ -292,9 +299,9 @@ def _add_hom_pair(p: argparse.ArgumentParser) -> None:
 
 
 def _add_fold_selection(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fold-vertex", "--v", dest="v", type=int, required=True,
+    p.add_argument("--fold-vertex", dest="v", type=int, required=True,
                    help="vertex to fold away")
-    p.add_argument("--fold-onto", "--u", dest="u", type=int, default=None,
+    p.add_argument("--fold-onto", dest="u", type=int, default=None,
                    help="vertex to fold onto (default: first witness for the folded vertex)")
 
 
@@ -321,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fold", help="list fold witnesses, or apply one with --fold-vertex")
     p.add_argument("-G", dest="graph", required=True, metavar="FILE", help="graph file")
-    p.add_argument("--fold-vertex", "--v", dest="v", type=int, default=None,
+    p.add_argument("--fold-vertex", dest="v", type=int, default=None,
                    help="vertex to fold away (omit to list witnesses)")
-    p.add_argument("--fold-onto", "--u", dest="u", type=int, default=None,
+    p.add_argument("--fold-onto", dest="u", type=int, default=None,
                    help="vertex to fold onto")
     _add_output_flags(p)
     p.set_defaults(func=cmd_fold)

@@ -183,7 +183,8 @@ def verify_acyclic_matching(m: Matching) -> tuple[bool, list[int] | None]:
     covers leaves the Hasse digraph acyclic.  Returns (True, None) or
     (False, certificate cycle as a list of cell ids)."""
     p = m.poset
-    coverset = set(p.covers)
+    covers = p.covers
+    coverset = set(covers)
     used: set[int] = set()
     for a, b in m.pairs:
         if (a, b) not in coverset:
@@ -193,7 +194,7 @@ def verify_acyclic_matching(m: Matching) -> tuple[bool, list[int] | None]:
         used.update((a, b))
     succ: dict[int, list[int]] = {i: [] for i in p.ids}
     pairset = set(m.pairs)
-    for a, b in p.covers:
+    for a, b in covers:
         if (a, b) in pairset:
             succ[a].append(b)  # matched covers point up
         else:
@@ -302,12 +303,12 @@ def random_poset(rng, max_elements: int = 10) -> FacePoset:
                 for j in range(n):
                     if lt[k][j]:
                         lt[i][j] = True
-    covers = [
+    covers = (
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
         if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
-    ]
+    )
     return FacePoset(range(n), covers)
 
 

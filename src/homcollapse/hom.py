@@ -110,14 +110,14 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
     labels = dict(enumerate(sets for sets, _ in cells))
     cells = [c for _, c in cells]
     index = {c: k for k, c in enumerate(cells)}
-    covers = []
-    for cid, cell in enumerate(cells):
-        for x, m in enumerate(cell):
-            vs = vertex_set[m]
-            if len(vs) > 1:
-                for a in vs:
-                    face = cell[:x] + (m ^ (1 << a),) + cell[x + 1 :]
-                    covers.append((index[face], cid))
+    # a generator, so the poset's upper and lower covers are the only copies
+    covers = (
+        (index[cell[:x] + (m ^ (1 << a),) + cell[x + 1 :]], cid)
+        for cid, cell in enumerate(cells)
+        for x, m in enumerate(cell)
+        if m & (m - 1)  # a single vertex has no face
+        for a in vertex_set[m]
+    )
     poset = FacePoset(
         range(len(cells)),
         covers,

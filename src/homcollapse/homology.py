@@ -82,7 +82,7 @@ def execute_collapses(ambient, seq: CollapseSequence):
             # legal steps remove only maximal cells: a down-set keeps the ambient's covers
             return FacePoset(
                 [i for i in cells if i in remaining],
-                [(a, b) for a, b in ambient.covers if a in remaining and b in remaining],
+                ((a, b) for a in remaining for b in ambient.upper[a] if b in remaining),
                 {i: d for i, d in ambient.dim_of.items() if i in remaining},
                 {i: x for i, x in ambient.label_of.items() if i in remaining},
             )
@@ -329,8 +329,9 @@ def _cellular_chains(p: FacePoset):
 @dataclass
 class Verdict:
     """Cross-checks of one collapse plan; all four components must hold.
-    failure names the first illegal step and why, or is None when the
-    replay is valid."""
+    failure names the first check that fails, in the order all_pass reads
+    them (for an illegal step, the step and why), or is None when all of
+    them hold."""
 
     valid: bool
     failed_step: int | None
@@ -387,12 +388,19 @@ def compare_collapse(
     before, after = cells if cells is not None else (ambient, remaining)
     bv_before = betti(before, coefficients)
     bv_after = betti(after, coefficients)
+    matches = report.valid and survivors == expected
+    checks = (
+        (report.valid, report.detail),
+        (euler_ok, "a step did not remove a (k, k+1) pair"),
+        (matches, "survivors differ from the target"),
+        (bv_before.betti == bv_after.betti, "betti numbers differ"),
+    )
     return Verdict(
         valid=report.valid,
         failed_step=report.failed_step,
         euler_invariant=euler_ok,
         betti_before=bv_before.betti,
         betti_after=bv_after.betti,
-        remaining_matches=report.valid and survivors == expected,
-        failure=report.detail,
+        remaining_matches=matches,
+        failure=next((cause for ok, cause in checks if not ok), None),
     )

@@ -1,6 +1,7 @@
 """Finite posets as Hasse diagrams, order complexes, and face posets.
 
-A FacePoset stores only the cover relation; the full order is reachability,
+A FacePoset stores only its Hasse diagram, once per direction: the upper
+and lower covers of each element.  The full order is reachability,
 computed once on demand and cached.  Element ids are arbitrary integers and
 survive subposet extraction, so collapse plans can name cells stably.
 """
@@ -39,15 +40,17 @@ class FacePoset:
         # a repeated cover counts once
         self.upper = {i: tuple(sorted(set(ys))) for i, ys in up.items()}
         self.lower = {i: tuple(sorted(set(ys))) for i, ys in down.items()}
-        self.covers: tuple[tuple[int, int], ...] = tuple(
-            (a, b) for a in sorted(self.ids) for b in self.upper[a]
-        )
         self._topo = self._toposort()
         self._above: dict[int, frozenset[int]] | None = None
         self._below: dict[int, frozenset[int]] | None = None
 
     def __len__(self):
         return len(self.ids)
+
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """(a, b) for a in sorted ids and b in upper[a], built on each read."""
+        return tuple((a, b) for a in sorted(self.ids) for b in self.upper[a])
 
     def __contains__(self, x):
         return x in self.upper
@@ -150,7 +153,8 @@ class FacePoset:
         )
 
     def dual(self) -> "FacePoset":
-        return FacePoset(self.ids, [(b, a) for a, b in self.covers], self.dim_of, self.label_of)
+        flipped = ((b, a) for a, bs in self.upper.items() for b in bs)
+        return FacePoset(self.ids, flipped, self.dim_of, self.label_of)
 
     def validate_covers(self) -> None:
         """Reject transitive edges: a cover (a, b) must have nothing between."""
@@ -273,12 +277,7 @@ def face_poset(x: SimplicialComplex) -> FacePoset:
     """
     sims = sorted(x.simplices, key=lambda s: (len(s), s))
     index = {s: k for k, s in enumerate(sims)}
-    covers = []
-    for s in sims:
-        if len(s) > 1:
-            sid = index[s]
-            for k in range(len(s)):
-                covers.append((index[s[:k] + s[k + 1 :]], sid))
+    covers = ((index[s[:k] + s[k + 1 :]], index[s]) for s in sims if len(s) > 1 for k in range(len(s)))
     return FacePoset(
         range(len(sims)),
         covers,
@@ -349,7 +348,7 @@ def verify_closure_operator(f: PosetMap, direction: str) -> ClosureReport:
     with f(x) <= x (descending) or x <= f(x) (ascending), else a pass."""
     if direction not in ("descending", "ascending"):
         raise ValueError(f"direction must be 'descending' or 'ascending', not {direction!r}")
-    if f.source.ids != f.target.ids or f.source.covers != f.target.covers:
+    if f.source.ids != f.target.ids or f.source.upper != f.target.upper:
         return ClosureReport(direction, "endomap", ())
     bad = f.is_order_preserving()
     if bad is not None:

@@ -108,6 +108,22 @@ def test_fold_errors(graphs, capsys):
         capsys, ["fold", "-G", graphs["p3"], "--fold-vertex", "7", "--fold-onto", "0"]
     )
     assert code == 2
+    # a fold target alone names no fold, and is not ignored
+    code, out, err = run(capsys, ["fold", "-G", graphs["p3"], "--fold-onto", "2"])
+    assert code == 2 and "--fold-onto needs --fold-vertex" in err and not out
+
+
+@pytest.mark.parametrize("command", ["fold", "verify"])
+def test_fold_flags_have_no_short_aliases(graphs, capsys, command):
+    # --fold-vertex and --fold-onto are the only spellings; --v and --u are gone
+    argv = [command, "-G", graphs["p3"]]
+    if command == "verify":
+        argv += ["-H", graphs["k3"], "--side", "first", "--fold-vertex", "0"]
+    for extra, rest in ((["--v", "0"], "--v 0"), (["--u", "2"], "--u 2")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {rest}" in capsys.readouterr().err
 
 
 def test_collapse_plan_payload(graphs, capsys):
@@ -218,6 +234,14 @@ def test_homology_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["homology", "--complex", str(tmp_path / "missing.json")])
     assert code == 2 and "cannot read" in err
 
+    # -G and -H are not silently ignored next to --complex, even when they name no file
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(json.dumps({"vertices": [0, 1, 2], "facets": [[0, 1], [0, 2], [1, 2]]}))
+    for flag in ("-G", "-H"):
+        argv = ["homology", "--complex", str(sphere), flag, str(tmp_path / "missing.graph")]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and f"{flag} cannot be combined with --complex" in err and not out
+
     # JSON 1e400 reads as inf, which int() would meet with OverflowError
     huge = tmp_path / "huge.json"
     huge.write_text('{"vertices": [0], "facets": [[1e400]]}')
@@ -295,7 +319,8 @@ def test_verify_first_fails_when_target_is_not_the_folded_complex(graphs, capsys
         ["verify", "-G", graphs["p3"], "-H", graphs["k3"],
          "--side", "first", "--fold-vertex", "0", "--json"],
     )
-    assert code == 1 and "verify: FAIL" in err and "failure" not in err
+    assert code == 1 and "verify: FAIL" in err
+    assert err.endswith("  failure: target cells do not pull back one-to-one onto Hom(G - v, H)\n")
     verdict = json.loads(out)["verdict"]
     # the replay still lands on the plan's chains; only the Hom-level check fails
     assert verdict["valid"] is True and verdict["remaining_matches"] is False

@@ -1,9 +1,11 @@
 import itertools
 import random
+import types
 
 import pytest
 
 from homcollapse import (
+    FacePoset,
     Graph,
     GraphHom,
     ResourceLimitError,
@@ -16,6 +18,7 @@ from homcollapse import (
     induced_covariant,
     is_homomorphism,
 )
+from homcollapse import hom as hom_module
 from helpers import (
     as_read,
     brute_hom_cells,
@@ -141,6 +144,20 @@ def test_covers_match_containment_oracle():
                 if all(x & y == x for x, y in zip(a, b)) and cell_dim(b) == cell_dim(a) + 1:
                     expected.add((i, j))
         assert set(hom.poset.covers) == expected
+
+
+def test_covers_are_streamed_into_the_poset(monkeypatch):
+    # the enumerator builds no list of cover pairs, and the poset stores none
+    given = []
+
+    def spy(ids, covers, *rest):
+        given.append(covers)
+        return FacePoset(ids, covers, *rest)
+
+    monkeypatch.setattr(hom_module, "FacePoset", spy)
+    hom = enumerate_hom_cells(path_graph(3), complete(3))
+    assert len(given) == 1 and isinstance(given[0], types.GeneratorType)
+    assert "covers" not in vars(hom.poset) and len(hom.poset.covers) == 42
 
 
 def test_max_cells_budget():

@@ -30,7 +30,7 @@ from homcollapse import (
 
 from homcollapse.homology import _cellular_chains
 
-from helpers import as_read, complete, cycle, k4_pendant, path_graph
+from helpers import as_read, complete, cycle, edgeless, k4_pendant, path_graph
 
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -335,24 +335,45 @@ def test_compare_collapse_pass_and_failure_modes():
     ambient = order_complex(p)
     expected = {(0,), (1,), (0, 1)}
     good = compare_collapse(ambient, seq, expected)
-    assert good.all_pass and good.failed_step is None
+    assert good.all_pass and good.failed_step is None and good.failure is None
     assert good.betti_before == good.betti_after == (1,)
 
     # wrong survivor set
     bad_expected = compare_collapse(ambient, seq, {(0,), (1,)})
     assert bad_expected.valid and not bad_expected.remaining_matches
     assert not bad_expected.all_pass
+    assert bad_expected.failure == "survivors differ from the target"
 
     # swapping dependent steps breaks validity at the first step
     swapped = CollapseSequence("simplicial", (seq.steps[1], seq.steps[0]))
     broken = compare_collapse(ambient, swapped, expected)
     assert not broken.valid and broken.failed_step == 0
-    assert not broken.all_pass
+    assert not broken.all_pass and broken.failure.startswith("step 0: ")
 
     # dropping a step leaves extra survivors
     partial = CollapseSequence("simplicial", seq.steps[:1])
     short = compare_collapse(ambient, partial, expected)
     assert short.valid and not short.remaining_matches
+    assert short.failure == "survivors differ from the target"
+
+
+def test_compare_collapse_names_the_first_failed_check():
+    # Hom(K1, K2) is an edge: cell 1 = ({0, 1},) covers 0 = ({0},) and 2 = ({1},)
+    edge = enumerate_hom_cells(edgeless(1), complete(2)).poset
+    seq = CollapseSequence("cw", ((0, 1),))
+    assert compare_collapse(edge, seq, {2}).failure is None
+    # the replay is legal, but the dims say the step removes a (0, 2) pair
+    skewed = FacePoset(edge.ids, edge.covers, {0: 0, 1: 2, 2: 0}, edge.label_of)
+    for target in ({2}, {0}):  # the Euler check comes before the survivors
+        verdict = compare_collapse(skewed, seq, target)
+        assert verdict.valid and verdict.failure == "a step did not remove a (k, k+1) pair"
+    # Hom(K2, K2) is two points, whose Betti numbers differ from an edge's
+    points = enumerate_hom_cells(complete(2), complete(2)).poset
+    verdict = compare_collapse(edge, seq, {2}, cells=(edge, points))
+    assert verdict.betti_after == (2,) and verdict.failure == "betti numbers differ"
+    # the survivors come before the Betti numbers
+    verdict = compare_collapse(edge, seq, {0}, cells=(edge, points))
+    assert verdict.failure == "survivors differ from the target"
 
 
 def test_compare_collapse_cw_mode_uses_cellular_homology():

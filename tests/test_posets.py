@@ -55,6 +55,11 @@ def test_covers_given_shuffled_and_repeated_build_the_same_poset():
         assert q.upper == ref.upper and q.lower == ref.lower
         assert all(ys == tuple(sorted(set(ys))) for ys in q.upper.values())
         assert q.to_json() == ref.to_json()
+        # covers may come from a one-shot iterator, and are derived, never stored
+        once = FacePoset(ids, iter(given))
+        assert once.covers == q.covers and once.upper == q.upper and once.lower == q.lower
+        assert once.to_json() == q.to_json()
+        assert "covers" not in vars(q)
 
 
 def test_reachability_on_chain():
