@@ -19,7 +19,7 @@ import random
 import sys
 from pathlib import Path
 
-from .closure import random_descending_closure, random_poset
+from .closure import MAX_RANDOM_ELEMENTS, random_descending_closure, random_poset
 from .folds import first_arg_collapse, second_arg_collapse
 from .graphs import (
     FoldError,
@@ -31,7 +31,7 @@ from .graphs import (
     parse_graph,
 )
 from .hom import ResourceLimitError, enumerate_hom_cells
-from .homology import betti, compare_collapse, f_vector
+from .homology import betti, verify_plan
 from .posets import FacePoset, SimplicialComplex, order_complex
 
 EXIT_OK = 0
@@ -142,8 +142,11 @@ def _plan(args):
             raise ValueError("--order is a side-second option: side first has no scan order")
         return first_arg_collapse(g, h, _witness(g, args), args.max_cells)
     order = None
-    if args.order:
-        order = tuple(int(t) for t in args.order.split(","))
+    if args.order is not None:
+        try:
+            order = tuple(int(t) for t in args.order.split(","))
+        except ValueError:
+            raise ValueError(f"--order must be comma-separated vertex ids, not {args.order!r}") from None
     return second_arg_collapse(g, h, _witness(h, args), order, args.max_cells)
 
 
@@ -151,7 +154,7 @@ def cmd_hom(args) -> int:
     g = _read_graph(args.domain)
     h = _read_graph(args.codomain)
     hom = enumerate_hom_cells(g, h, args.max_cells)
-    fv = f_vector(hom.poset)
+    fv = hom.poset.f_vector()
     _summary(args, f"cells: {len(hom)}  f-vector: {list(fv)}")
     _emit(args, hom.to_json())
     return EXIT_OK
@@ -215,19 +218,21 @@ def cmd_homology(args) -> int:
             flag = "-G" if args.domain is not None else "-H"
             raise ValueError(f"{flag} cannot be combined with --complex")
         x = _load_complex(args.complex)
+        fv, bv = x.f_vector(), betti(x, args.coefficients)
     else:
         if not (args.domain and args.codomain):
             raise ValueError("homology needs either --complex or both -G and -H")
         g = _read_graph(args.domain)
         h = _read_graph(args.codomain)
-        x = order_complex(enumerate_hom_cells(g, h, args.max_cells).poset)
-    bv = betti(x, args.coefficients)
-    line = f"f-vector: {list(x.f_vector())}  betti: {list(bv.betti)}"
+        cells = enumerate_hom_cells(g, h, args.max_cells).poset
+        # the f-vector is the order complex's; the Betti numbers are cellular, the same ones
+        fv, bv = order_complex(cells).f_vector(), betti(cells, args.coefficients)
+    line = f"f-vector: {list(fv)}  betti: {list(bv.betti)}"
     if bv.torsion:
         line += f"  torsion: {[list(t) for t in bv.torsion]}"
     _summary(args, line)
     _emit(args, {
-        "f_vector": list(x.f_vector()),
+        "f_vector": list(fv),
         "betti": list(bv.betti),
         "torsion": None if bv.torsion is None else [list(t) for t in bv.torsion],
         "coefficients": args.coefficients,
@@ -237,14 +242,7 @@ def cmd_homology(args) -> int:
 
 def cmd_verify(args) -> int:
     plan = _plan(args)
-    cells = None
-    if plan.side == "first":  # the theorem: Bd Hom(G, H) collapses onto Bd Hom(G - v, H)
-        cells = (plan.hom.poset, plan.folded.poset)
-    verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained, args.coefficients, cells)
-    if cells is not None and not plan.target_is_folded():
-        if verdict.euler_invariant and verdict.remaining_matches:  # no earlier check failed
-            verdict.failure = "target cells do not pull back one-to-one onto Hom(G - v, H)"
-        verdict.remaining_matches = False
+    verdict = verify_plan(plan, args.coefficients)
     status = "PASS" if verdict.all_pass else "FAIL"
     line = (
         f"verify: {status} side={plan.side} fold=({plan.witness.v},{plan.witness.u}) "
@@ -269,8 +267,8 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be non-negative, not {args.count}")
-    if args.max_elements < 1:
-        raise ValueError(f"--max-elements must be at least 1, not {args.max_elements}")
+    if not 1 <= args.max_elements <= MAX_RANDOM_ELEMENTS:
+        raise ValueError(f"--max-elements must be from 1 to {MAX_RANDOM_ELEMENTS}, not {args.max_elements}")
     rng = random.Random(args.seed)
     fixtures = []
     for _ in range(args.count):

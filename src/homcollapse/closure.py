@@ -288,8 +288,14 @@ def disconnected_graph_fixture(n: int) -> tuple[FacePoset, PosetMap]:
     return poset, PosetMap(poset, poset, mapping)
 
 
+# random_poset closes an n x n relation in O(n^3)
+MAX_RANDOM_ELEMENTS = 64
+
+
 def random_poset(rng, max_elements: int = 10) -> FacePoset:
-    """A random poset on 1..max_elements elements, for property sweeps."""
+    """A random poset on 1..max_elements <= MAX_RANDOM_ELEMENTS elements, for property sweeps."""
+    if not 1 <= max_elements <= MAX_RANDOM_ELEMENTS:
+        raise ValueError(f"max_elements must be from 1 to {MAX_RANDOM_ELEMENTS}, not {max_elements}")
     n = rng.randint(1, max_elements)
     p = rng.uniform(0.15, 0.55)
     lt = [[False] * n for _ in range(n)]

@@ -12,17 +12,17 @@ cells using v by a perfect matching that inserts u into the first set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .closure import CollapseSequence, collapse_sequence_from_closure
-from .graphs import FoldWitness, Graph, apply_fold, check_fold
-from .hom import HomComplex, enumerate_hom_cells, induced_contravariant
-from .posets import PosetMap, order_complex
+from .graphs import FoldWitness, Graph, check_fold
+from .hom import HomComplex, enumerate_hom_cells
+from .posets import PosetMap
 
 
 @dataclass(frozen=True)
 class FoldCollapsePlan:
-    """A fold-induced reduction of a hom complex, ready for replay.
+    """A fold-induced reduction of a hom complex, as the builder made it;
+    homology.verify_plan judges it.
 
     retained lists what must survive, in the same currency as the
     sequence; target_cells counts surviving poset cells either way.
@@ -35,36 +35,6 @@ class FoldCollapsePlan:
     retained: frozenset
     target_cells: tuple[int, ...]
     hom: HomComplex
-
-    @cached_property
-    def ambient(self):
-        """The complex the sequence acts on: the order complex of the cell
-        poset for side "first" (simplicial mode), the cell poset itself for
-        side "second" (cw mode), whose vertex-set labels give the verifier
-        its cellular homology.  The verifier replays on it; for side first
-        it reads its Betti numbers from hom and folded instead.  Built on
-        first use, since emitting a plan never reads it."""
-        if self.side == "second":
-            return self.hom.poset
-        return order_complex(self.hom.poset)
-
-    @cached_property
-    def folded(self) -> HomComplex:
-        """Hom(G - v, H), enumerated afresh for a side-first plan: the hom
-        complex its target cells should be, up to pulling back along the
-        inclusion G - v -> G.  Setting eta(v) = eta(u) extends every cell of
-        it to one of hom, so it fits the budget that hom fit."""
-        small, _, _ = apply_fold(self.hom.domain, self.witness)
-        return enumerate_hom_cells(small, self.hom.codomain, max(len(self.hom.cells), 1))
-
-    def target_is_folded(self) -> bool:
-        """Whether pulling back along the inclusion G - v -> G carries
-        target_cells one-to-one onto the cells of folded (side first)."""
-        small = self.folded
-        _, _, inclusion = apply_fold(self.hom.domain, self.witness)
-        pull = induced_contravariant(inclusion, self.hom, small).map
-        images = {pull[c] for c in self.target_cells}
-        return len(images) == len(self.target_cells) == len(small.cells)
 
     def to_json(self) -> dict:
         return {

@@ -8,7 +8,8 @@ the cellular chain complex of a face poset of product cells (the cells of
 Hom(G, H), read from their vertex-set labels).  Both feed one rank loop
 that shares no code path with the collapse builders: column reduction
 over GF(2) on int bitsets, or integer Smith invariant factors from an
-exact sparse elimination.
+exact sparse elimination.  verify_plan is the one place that knows how a
+fold plan of either side is judged.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .closure import CollapseSequence
-from .posets import FacePoset, SimplicialComplex
+from .graphs import apply_fold
+from .hom import enumerate_hom_cells, induced_contravariant
+from .posets import FacePoset, SimplicialComplex, order_complex
 
 
 @dataclass
@@ -28,20 +31,6 @@ class CollapseReport:
     failed_step: int | None
     step_dims: tuple[tuple[int, int], ...]
     detail: str | None = None
-
-
-def f_vector(x) -> tuple[int, ...]:
-    """Cell counts by dimension for a SimplicialComplex or FacePoset."""
-    if isinstance(x, SimplicialComplex):
-        return x.f_vector()
-    if isinstance(x, FacePoset):
-        counts: dict[int, int] = {}
-        for i in x.ids:
-            d = x.dim_of.get(i, -1)
-            counts[d] = counts.get(d, 0) + 1
-        top = max(counts, default=-1)
-        return tuple(counts.get(k, 0) for k in range(top + 1))
-    raise TypeError(f"no f-vector for {type(x).__name__}")
 
 
 def execute_collapses(ambient, seq: CollapseSequence):
@@ -326,7 +315,7 @@ def _cellular_chains(p: FacePoset):
     return [len(ids) for ids in cells], boundary
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Cross-checks of one collapse plan; all four components must hold.
     failure names the first check that fails, in the order all_pass reads
@@ -362,45 +351,69 @@ class Verdict:
 
 
 def compare_collapse(
-    ambient, seq: CollapseSequence, expected_remaining, coefficients: str = "gf2", cells=None
+    ambient, seq: CollapseSequence, expected_remaining, coefficients: str = "gf2"
 ) -> Verdict:
     """Replay seq on ambient and judge it.
 
     Checks, all independent of how the sequence was produced: every step
     legal, every step removing a (k, k+1) pair so the Euler characteristic
     is pinned stepwise, the survivors equal to expected_remaining, and the
-    Betti numbers unchanged.  By default those are the Betti numbers of
-    ambient and of the survivors; in cw mode they are cellular ones, read
-    from the product-cell labels, and the survivors form a subcomplex even
-    when the replay stops early (each legal step removes a free pair).
-    cells, a (before, after) pair of product-cell face posets such as the
-    cells of Hom(G, H) and of Hom(G - v, H), replaces ambient and the
-    survivors as the complexes whose Betti numbers are compared.  Labels
-    that are not product cells raise ValueError.
+    Betti numbers of ambient and of the survivors equal.  In cw mode they
+    are cellular ones, read from the product-cell labels, and the survivors
+    form a subcomplex even when the replay stops early (each legal step
+    removes a free pair).  Labels that are not product cells raise
+    ValueError.
     """
     remaining, report = execute_collapses(ambient, seq)
+    before, after = betti(ambient, coefficients), betti(remaining, coefficients)
+    return _judge(report, remaining, expected_remaining, before, after)
+
+
+def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
+    """Judge a fold collapse plan, as its builder made it, by its side's theorem.
+
+    Side "second", Hom(K, G) onto Hom(K, G - v): the cw steps replay on the
+    cell poset, and its cellular Betti numbers are compared with the
+    survivors'.  Side "first", Bd Hom(G, H) onto Bd Hom(G - v, H): the
+    simplicial steps replay on the order complex of the cell poset, and the
+    cellular Betti numbers compared are those of Hom(G, H) and of a fresh
+    Hom(G - v, H), onto whose cells target_cells must pull back one-to-one
+    along the inclusion G - v -> G (else remaining_matches is False).
+    """
+    hom = plan.hom
+    if plan.side == "second":
+        return compare_collapse(hom.poset, plan.sequence, plan.retained, coefficients)
+    small, _, inclusion = apply_fold(hom.domain, plan.witness)
+    # setting eta(v) = eta(u) extends every cell of Hom(G - v, H) to one of hom
+    folded = enumerate_hom_cells(small, hom.codomain, max(len(hom.cells), 1))
+    pull = induced_contravariant(inclusion, hom, folded).map
+    images = {pull[c] for c in plan.target_cells}
+    one_to_one = len(images) == len(plan.target_cells) == len(folded.cells)
+    remaining, report = execute_collapses(order_complex(hom.poset), plan.sequence)
+    before, after = betti(hom.poset, coefficients), betti(folded.poset, coefficients)
+    return _judge(report, remaining, plan.retained, before, after, one_to_one)
+
+
+def _judge(report, remaining, expected_remaining, before, after, pulls_back=True) -> Verdict:
+    """The verdict on a replay that left remaining, given the Betti vectors
+    to compare; failure follows the order of the checks below."""
     euler_ok = report.valid and all(hi == lo + 1 for lo, hi in report.step_dims)
-    if isinstance(ambient, FacePoset):
-        survivors = set(remaining.ids)
-    else:
-        survivors = set(remaining.simplices)
+    survivors = set(remaining.ids if isinstance(remaining, FacePoset) else remaining.simplices)
     expected = {s if isinstance(s, int) else tuple(s) for s in expected_remaining}
-    before, after = cells if cells is not None else (ambient, remaining)
-    bv_before = betti(before, coefficients)
-    bv_after = betti(after, coefficients)
     matches = report.valid and survivors == expected
     checks = (
         (report.valid, report.detail),
         (euler_ok, "a step did not remove a (k, k+1) pair"),
         (matches, "survivors differ from the target"),
-        (bv_before.betti == bv_after.betti, "betti numbers differ"),
+        (pulls_back, "target cells do not pull back one-to-one onto Hom(G - v, H)"),
+        (before.betti == after.betti, "betti numbers differ"),
     )
     return Verdict(
         valid=report.valid,
         failed_step=report.failed_step,
         euler_invariant=euler_ok,
-        betti_before=bv_before.betti,
-        betti_after=bv_after.betti,
-        remaining_matches=matches,
+        betti_before=before.betti,
+        betti_after=after.betti,
+        remaining_matches=matches and pulls_back,
         failure=next((cause for ok, cause in checks if not ok), None),
     )

@@ -47,6 +47,14 @@ class FacePoset:
     def __len__(self):
         return len(self.ids)
 
+    def f_vector(self) -> tuple[int, ...]:
+        """Element counts by dim_of; an element without a dim is not counted."""
+        counts: dict[int, int] = {}
+        for i in self.ids:
+            d = self.dim_of.get(i, -1)
+            counts[d] = counts.get(d, 0) + 1
+        return tuple(counts.get(k, 0) for k in range(max(counts, default=-1) + 1))
+
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """(a, b) for a in sorted ids and b in upper[a], built on each read."""

@@ -44,6 +44,7 @@ from homcollapse import (
     second_arg_collapse,
     verify_acyclic_matching,
     verify_closure_operator,
+    verify_plan,
 )
 from homcollapse.cli import main as cli_main
 from homcollapse.hom import cell_vertex_sets
@@ -137,19 +138,18 @@ def first_sweep(corpus, foldable):
                 skipped += 1
                 continue
             plan = first_arg_collapse(g, h, w, CELL_CAP)
-            cells = (plan.hom.poset, plan.folded.poset)
-            verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained, cells=cells)
+            verdict = verify_plan(plan)
             if not verdict.all_pass:
-                failures.append(f"Hom({gname}, {hname}): {verdict.to_json()}")
-            remaining, report = execute_collapses(plan.ambient, plan.sequence)
+                # a target that does not pull back onto Hom(G - v, H) is named in failure
+                failures.append(f"Hom({gname}, {hname}): {verdict.failure}: {verdict.to_json()}")
+            ambient = order_complex(plan.hom.poset)
+            remaining, report = execute_collapses(ambient, plan.sequence)
             # the order complexes of Hom(G, H) and of the survivors are the oracle
-            oracle = (betti(plan.ambient).betti, betti(remaining).betti)
+            oracle = (betti(ambient).betti, betti(remaining).betti)
             if (verdict.betti_before, verdict.betti_after) != oracle:
                 failures.append(
                     f"Hom({gname}, {hname}): cellular betti {verdict.to_json()} against {oracle}"
                 )
-            if not plan.target_is_folded():
-                failures.append(f"Hom({gname}, {hname}): target does not pull back onto Hom(G - v, H)")
             records.append({"g": gname, "h": hname, "step_dims": report.step_dims})
     return {
         "records": records,
@@ -171,7 +171,7 @@ def second_sweep(corpus, foldable):
                 skipped += 1
                 continue
             plan = second_arg_collapse(h, g, w, None, CELL_CAP)
-            verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained)
+            verdict = verify_plan(plan)
             if not verdict.all_pass:
                 failures.append(f"Hom({hname}, {gname}): {verdict.to_json()}")
             matching = Matching(
@@ -180,7 +180,7 @@ def second_sweep(corpus, foldable):
             acyclic, certificate = verify_acyclic_matching(matching)
             if not acyclic:
                 failures.append(f"Hom({hname}, {gname}): pairing cycle {certificate}")
-            remaining, report = execute_collapses(plan.ambient, plan.sequence)
+            remaining, report = execute_collapses(plan.hom.poset, plan.sequence)
             induced = plan.hom.poset.restrict(remaining.ids)
             if (remaining.ids, remaining.covers, remaining.dim_of, remaining.label_of) != (
                 induced.ids, induced.covers, induced.dim_of, induced.label_of
@@ -191,12 +191,12 @@ def second_sweep(corpus, foldable):
                 order = list(range(h.n))
                 rng.shuffle(order)
                 alt = second_arg_collapse(h, g, w, tuple(order), CELL_CAP)
-                alt_verdict = compare_collapse(alt.ambient, alt.sequence, alt.retained)
+                alt_verdict = verify_plan(alt)
                 if alt_verdict.to_json() != verdict.to_json():
                     failures.append(
                         f"Hom({hname}, {gname}): verdict changed under order {order}"
                     )
-                dims.append(execute_collapses(alt.ambient, alt.sequence)[1].step_dims)
+                dims.append(execute_collapses(alt.hom.poset, alt.sequence)[1].step_dims)
             records.append({"g": gname, "h": hname, "step_dims_all": dims})
     return {
         "records": records,

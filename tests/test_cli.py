@@ -9,12 +9,14 @@ import pytest
 from homcollapse import (
     FacePoset,
     PosetMap,
+    betti,
     format_graph,
     parse_graph,
     verify_closure_operator,
 )
 from homcollapse import cli
 from homcollapse.cli import main
+from homcollapse.closure import MAX_RANDOM_ELEMENTS
 
 from helpers import complete, cycle, edgeless, k4_pendant, path_graph
 
@@ -160,9 +162,13 @@ def test_collapse_second_side_with_order(graphs, capsys):
     assert code == 2 and "error" in err
 
 
-def test_homology_from_graphs(graphs, capsys):
+def test_homology_from_graphs(graphs, capsys, monkeypatch):
+    # the Betti numbers come from the cells of Hom(G, H), not from its order complex
+    seen = []
+    monkeypatch.setattr(cli, "betti", lambda x, ring: seen.append(x) or betti(x, ring))
     code, out, err = run(capsys, ["homology", "-G", graphs["k2"], "-H", graphs["k3"], "--json"])
     assert code == 0
+    assert [type(x) for x in seen] == [FacePoset]
     data = json.loads(out)
     assert data["betti"] == [1, 1] and data["coefficients"] == "gf2"
     assert data["torsion"] is None
@@ -407,12 +413,14 @@ def test_second_side_bad_order_is_checked_before_enumeration(capsys, tmp_path):
     k2, k4p = tmp_path / "k2.graph", tmp_path / "k4p.graph"
     k2.write_text(K2)
     k4p.write_text(format_graph(k4_pendant()))
-    code, _, err = run(
-        capsys,
-        ["collapse", "-G", str(k2), "-H", str(k4p), "--side", "second", "--fold-vertex", "4",
-         "--order", "0,0", "--max-cells", "1"],
-    )
-    assert code == 2 and "permutation" in err
+    # an empty order is not the default order, and a non-integer is named as --order's
+    for order, message in (("0,0", "permutation"), ("", "--order"), ("0,x", "--order")):
+        code, out, err = run(
+            capsys,
+            ["collapse", "-G", str(k2), "-H", str(k4p), "--side", "second", "--fold-vertex", "4",
+             "--order", order, "--max-cells", "1"],
+        )
+        assert code == 2 and message in err and not out
 
 
 def test_verify_second_argument_fold(graphs, capsys):
@@ -483,6 +491,11 @@ PINNED_OUT = {
                         "5ba474eaf81556e48ba46ab8f4266448b0221c1e43b40cf234c035332efa9df4"),
     "gen": (["gen", "--seed", "5"],
             "b60367e81d2ec8ef5cf452b634080d05904e243073b90b822aabf1f11d26e6be"),
+    "homology": (["homology", "-G", "p3", "-H", "k4"],
+                 "81c9d83d2ff1f2b6498f03d442f9c6398c14223cb105b5bb2dc097d18c654d56"),
+    # torsion [[], [2]]: Hom(C5, K4p) has the integral homology of RP^3
+    "homology-integer": (["homology", "-G", "c5", "-H", "k4p", "--coefficients", "integer"],
+                         "fc926d9ddc39c5d12f0b04928957ab96ea77623c6f1c4c39a219535d5603f00e"),
 }
 
 
@@ -520,7 +533,9 @@ def test_gen_is_seed_stable(capsys):
 
 
 def test_gen_rejects_bad_sizes(capsys):
-    for flag, value in (("--count", "-2"), ("--max-elements", "0")):
+    # random_poset's relation is n x n, closed in O(n^3): n is bounded
+    too_many = str(MAX_RANDOM_ELEMENTS + 1)
+    for flag, value in (("--count", "-2"), ("--max-elements", "0"), ("--max-elements", too_many)):
         code, out, err = run(capsys, ["gen", "--seed", "1", flag, value, "--json"])
         assert code == 2 and flag in err and not out
 

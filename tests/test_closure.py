@@ -21,6 +21,7 @@ from homcollapse import (
     verify_acyclic_matching,
     verify_closure_operator,
 )
+from homcollapse.closure import MAX_RANDOM_ELEMENTS
 from helpers import as_read
 
 
@@ -66,6 +67,15 @@ def test_identity_closure_collapses_nothing():
     p = chain_poset(4)
     seq = collapse_sequence_from_closure(PosetMap(p, p, {i: i for i in p.ids}), "descending")
     assert seq.steps == ()
+
+
+def test_random_poset_size_is_bounded():
+    # the relation is n x n and closed in O(n^3), so n has a ceiling
+    rng = random.Random(3)
+    assert 1 <= len(random_poset(rng, MAX_RANDOM_ELEMENTS)) <= MAX_RANDOM_ELEMENTS
+    for bad in (0, MAX_RANDOM_ELEMENTS + 1):
+        with pytest.raises(ValueError, match="max_elements"):
+            random_poset(rng, bad)
 
 
 def test_ascending_is_descending_on_dual():

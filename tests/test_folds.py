@@ -10,7 +10,6 @@ from homcollapse import (
     apply_fold,
     alpha_beta_maps,
     cell_vertex_sets,
-    compare_collapse,
     enumerate_hom_cells,
     find_folds,
     first_arg_collapse,
@@ -20,6 +19,7 @@ from homcollapse import (
     second_arg_collapse,
     verify_acyclic_matching,
     verify_closure_operator,
+    verify_plan,
 )
 from helpers import as_read, complete, loop_fold_pair, path_graph, random_graph, star
 
@@ -59,7 +59,7 @@ def test_first_arg_collapse_path_triangle():
     assert plan.sequence.mode == "simplicial"
     assert len(plan.hom.cells) == 30
     assert len(plan.target_cells) == 12
-    verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained)
+    verdict = verify_plan(plan)
     assert verdict.all_pass
     assert verdict.betti_before == (1, 1)  # a circle, as for the smaller complex
 
@@ -80,7 +80,7 @@ def test_first_arg_collapse_matches_folded_complex():
 
 def test_first_arg_collapse_on_star():
     plan = first_arg_collapse(star(2), complete(2), FoldWitness(1, 2))
-    verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained)
+    verdict = verify_plan(plan)
     assert verdict.all_pass
     assert verdict.betti_before == (2,)  # Hom(star, K2) is two points
 
@@ -88,7 +88,7 @@ def test_first_arg_collapse_on_star():
 def test_first_arg_collapse_with_loops():
     g = loop_fold_pair()
     plan = first_arg_collapse(g, g, FoldWitness(0, 1))
-    verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained)
+    verdict = verify_plan(plan)
     assert verdict.all_pass
 
 
@@ -96,7 +96,7 @@ def test_first_arg_collapse_empty_complex():
     plan = first_arg_collapse(path_graph(3), complete(1), FoldWitness(0, 2))
     assert len(plan.hom.cells) == 0
     assert plan.sequence.steps == ()
-    assert compare_collapse(plan.ambient, plan.sequence, plan.retained).all_pass
+    assert verify_plan(plan).all_pass
 
 
 def test_first_arg_requires_fold():
@@ -114,7 +114,7 @@ def test_second_arg_collapse_edge_into_path():
     )
     assert plan.sequence.steps == expected_steps
     assert set(plan.retained) == {named[((1,), (2,))], named[((2,), (1,))]}
-    verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained)
+    verdict = verify_plan(plan)
     assert verdict.all_pass
     assert verdict.betti_before == (2,)
 
@@ -134,8 +134,8 @@ def test_second_arg_collapse_respects_vertex_order():
     assert base.vertex_order == (0, 1, 2)
     alt = second_arg_collapse(path_graph(3), path_graph(3), w, vertex_order=(2, 0, 1))
     assert alt.vertex_order == (2, 0, 1)
-    va = compare_collapse(base.ambient, base.sequence, base.retained)
-    vb = compare_collapse(alt.ambient, alt.sequence, alt.retained)
+    va = verify_plan(base)
+    vb = verify_plan(alt)
     assert va.all_pass and vb.all_pass
     assert va == vb  # the verdict is order-independent
     assert base.retained == alt.retained

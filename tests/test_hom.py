@@ -12,7 +12,6 @@ from homcollapse import (
     cell_dim,
     cell_vertex_sets,
     enumerate_hom_cells,
-    f_vector,
     identity_hom,
     induced_contravariant,
     induced_covariant,
@@ -38,12 +37,12 @@ def as_sets(hom):
 def test_single_vertex_domain_gives_full_simplex():
     hom = enumerate_hom_cells(Graph.from_edges(1, []), complete(3))
     assert len(hom) == 7
-    assert f_vector(hom.poset) == (3, 3, 1)
+    assert hom.poset.f_vector() == (3, 3, 1)
 
 
 def test_edge_into_triangle():
     hom = enumerate_hom_cells(complete(2), complete(3))
-    assert f_vector(hom.poset) == (6, 6)
+    assert hom.poset.f_vector() == (6, 6)
     # oracle: ordered pairs of disjoint nonempty subsets of a 3-set
     expected = {
         (a, b)
@@ -59,13 +58,13 @@ def test_edge_into_triangle():
 def test_path_into_triangle():
     hom = enumerate_hom_cells(path_graph(3), complete(3))
     assert len(hom) == 30
-    assert f_vector(hom.poset) == (12, 15, 3)
+    assert hom.poset.f_vector() == (12, 15, 3)
 
 
 def test_no_homomorphisms_to_smaller_clique():
     hom = enumerate_hom_cells(complete(3), complete(2))
     assert len(hom) == 0
-    assert f_vector(hom.poset) == ()
+    assert hom.poset.f_vector() == ()
 
 
 def test_loops():

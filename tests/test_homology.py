@@ -17,7 +17,6 @@ from homcollapse import (
     compare_collapse,
     enumerate_hom_cells,
     execute_collapses,
-    f_vector,
     face_poset,
     gf2_rank,
     image_subposet,
@@ -28,7 +27,7 @@ from homcollapse import (
     smith_invariant_factors,
 )
 
-from homcollapse.homology import _cellular_chains
+from homcollapse.homology import _cellular_chains, _judge
 
 from helpers import as_read, complete, cycle, edgeless, k4_pendant, path_graph
 
@@ -47,11 +46,13 @@ def full_triangle():
 
 
 def test_f_vector_dispatch():
-    assert f_vector(full_triangle()) == (3, 3, 1)
-    assert f_vector(face_poset(full_triangle())) == (3, 3, 1)
-    assert f_vector(SimplicialComplex([])) == ()
-    with pytest.raises(TypeError):
-        f_vector([1, 2, 3])
+    # a face poset counts its elements by dim, as the complex counts its simplices
+    assert full_triangle().f_vector() == (3, 3, 1)
+    assert face_poset(full_triangle()).f_vector() == (3, 3, 1)
+    assert SimplicialComplex([]).f_vector() == ()
+    assert face_poset(SimplicialComplex([])).f_vector() == ()
+    # an element without a dim is not counted
+    assert FacePoset(range(3), [(0, 1)], {0: 0, 1: 1}).f_vector() == (1, 1)
 
 
 def test_gf2_rank_small_matrices():
@@ -367,18 +368,23 @@ def test_compare_collapse_names_the_first_failed_check():
     for target in ({2}, {0}):  # the Euler check comes before the survivors
         verdict = compare_collapse(skewed, seq, target)
         assert verdict.valid and verdict.failure == "a step did not remove a (k, k+1) pair"
-    # Hom(K2, K2) is two points, whose Betti numbers differ from an edge's
-    points = enumerate_hom_cells(complete(2), complete(2)).poset
-    verdict = compare_collapse(edge, seq, {2}, cells=(edge, points))
+    # Hom(K2, K2) is two points, whose Betti numbers differ from an edge's;
+    # side-first plans compare two complexes other than the replay's
+    points = betti(enumerate_hom_cells(complete(2), complete(2)).poset)
+    remaining, report = execute_collapses(edge, seq)
+    verdict = _judge(report, remaining, {2}, betti(edge), points)
     assert verdict.betti_after == (2,) and verdict.failure == "betti numbers differ"
-    # the survivors come before the Betti numbers
-    verdict = compare_collapse(edge, seq, {0}, cells=(edge, points))
+    # the survivors come before the pullback, and the pullback before the Betti numbers
+    verdict = _judge(report, remaining, {0}, betti(edge), points, pulls_back=False)
     assert verdict.failure == "survivors differ from the target"
+    verdict = _judge(report, remaining, {2}, betti(edge), points, pulls_back=False)
+    assert not verdict.remaining_matches
+    assert verdict.failure == "target cells do not pull back one-to-one onto Hom(G - v, H)"
 
 
 def test_compare_collapse_cw_mode_uses_cellular_homology():
     plan = second_arg_collapse(complete(2), path_graph(3), FoldWitness(0, 2))
-    verdict = compare_collapse(plan.ambient, plan.sequence, plan.retained, "integer")
+    verdict = compare_collapse(plan.hom.poset, plan.sequence, plan.retained, "integer")
     assert verdict.all_pass
     assert verdict.betti_before == (2,)
 
@@ -389,10 +395,10 @@ def test_compare_collapse_cw_mode_judges_a_stopped_replay():
     plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
     steps = plan.sequence.steps
     # two legal steps, then the first again, whose cells are gone
-    stopped = compare_collapse(plan.ambient, CollapseSequence("cw", steps[:2] + steps[:1]), plan.retained)
+    stopped = compare_collapse(plan.hom.poset, CollapseSequence("cw", steps[:2] + steps[:1]), plan.retained)
     assert not stopped.valid and stopped.failed_step == 2
     assert stopped.betti_after == stopped.betti_before == (1, 0, 1)
-    partial = compare_collapse(plan.ambient, CollapseSequence("cw", steps[:1]), plan.retained, "integer")
+    partial = compare_collapse(plan.hom.poset, CollapseSequence("cw", steps[:1]), plan.retained, "integer")
     assert partial.valid and not partial.remaining_matches
     assert partial.betti_after == partial.betti_before == (1, 0, 1)
 
@@ -403,8 +409,8 @@ def test_cw_survivors_are_the_induced_subposet():
     plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
     steps = plan.sequence.steps
     for prefix in (steps, steps[:1], steps[:2] + steps[:1]):
-        remaining, _ = execute_collapses(plan.ambient, CollapseSequence("cw", prefix))
-        induced = plan.ambient.restrict(remaining.ids)
+        remaining, _ = execute_collapses(plan.hom.poset, CollapseSequence("cw", prefix))
+        induced = plan.hom.poset.restrict(remaining.ids)
         assert remaining.ids == induced.ids and remaining.covers == induced.covers
         assert remaining.dim_of == induced.dim_of and remaining.label_of == induced.label_of
 
