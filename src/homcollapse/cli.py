@@ -196,7 +196,10 @@ def cmd_collapse(args) -> int:
     return EXIT_OK
 
 
-def _load_complex(path: str):
+def _load_complex(path: str, max_cells: int):
+    """The complex in path, or its poset's order complex; ResourceLimitError once past max_cells simplices."""
+    if max_cells < 1:  # as enumerate_hom_cells requires under -G -H
+        raise ValueError("max_cells must be positive")
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -206,9 +209,12 @@ def _load_complex(path: str):
     except RecursionError:
         raise ValueError(f"{path} nests its JSON too deeply to read") from None
     if isinstance(data, dict) and "facets" in data:
-        return SimplicialComplex.from_json(data)
+        return SimplicialComplex.from_json(data, max_cells)
     if isinstance(data, dict) and "elements" in data:
-        return order_complex(FacePoset.from_json(data))
+        poset = FacePoset.from_json(data)
+        if poset.chain_count() > max_cells:
+            raise ResourceLimitError(max_cells)
+        return order_complex(poset)
     raise ValueError(f"{path} holds neither a complex nor a poset")
 
 
@@ -217,7 +223,7 @@ def cmd_homology(args) -> int:
         if args.domain is not None or args.codomain is not None:
             flag = "-G" if args.domain is not None else "-H"
             raise ValueError(f"{flag} cannot be combined with --complex")
-        x = _load_complex(args.complex)
+        x = _load_complex(args.complex, args.max_cells)
         fv, bv = x.f_vector(), betti(x, args.coefficients)
     else:
         if not (args.domain and args.codomain):
@@ -342,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", metavar="FILE", help="JSON complex or poset to read instead of -G/-H")
     p.add_argument("-G", dest="domain", metavar="FILE", help="domain graph file")
     p.add_argument("-H", dest="codomain", metavar="FILE", help="codomain graph file")
-    p.add_argument("--max-cells", type=int, default=1_000_000, metavar="N")
+    p.add_argument("--max-cells", type=int, default=1_000_000, metavar="N",
+                   help="abort beyond this many cells, or simplices with --complex (default 1000000)")
     p.add_argument("--coefficients", choices=("gf2", "integer"), default="gf2")
     _add_output_flags(p)
     p.set_defaults(func=cmd_homology)

@@ -326,14 +326,13 @@ def random_descending_closure(rng, p: FacePoset) -> PosetMap:
     containing all minimal elements and send each x to a maximal chosen
     element below it.  Returns the first lawful attempt, else the identity."""
     ids = list(p.ids)
-    floor = set(p.minimal_in(ids))
+    floor = {x for x in ids if not p.lower[x]}
     for _ in range(_CLOSURE_TRIES):
         chosen = {x for x in ids if rng.random() < 0.55} | floor
         mapping = {}
         for x in ids:
             downs = (p.below(x) | {x}) & chosen
-            tops = p.maximal_in(downs)
-            mapping[x] = rng.choice(tops)
+            mapping[x] = rng.choice(sorted(y for y in downs if not (p.above(y) & downs)))
         phi = PosetMap(p, p, mapping)
         if verify_closure_operator(phi, "descending").ok:
             return phi

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .closure import CollapseSequence
 from .graphs import apply_fold
-from .hom import enumerate_hom_cells, induced_contravariant
+from .hom import enumerate_hom_cells, induced_contravariant, induced_covariant
 from .posets import FacePoset, SimplicialComplex, order_complex
 
 
@@ -340,14 +340,8 @@ class Verdict:
         )
 
     def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "failed_step": self.failed_step,
-            "euler_invariant": self.euler_invariant,
-            "betti_before": self.betti_before,
-            "betti_after": self.betti_after,
-            "remaining_matches": self.remaining_matches,
-        }
+        """Every field but failure, which only the summary line names."""
+        return {k: v for k, v in vars(self).items() if k != "failure"}
 
 
 def compare_collapse(
@@ -372,29 +366,36 @@ def compare_collapse(
 def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
     """Judge a fold collapse plan, as its builder made it, by its side's theorem.
 
-    Side "second", Hom(K, G) onto Hom(K, G - v): the cw steps replay on the
-    cell poset, and its cellular Betti numbers are compared with the
-    survivors'.  Side "first", Bd Hom(G, H) onto Bd Hom(G - v, H): the
-    simplicial steps replay on the order complex of the cell poset, and the
-    cellular Betti numbers compared are those of Hom(G, H) and of a fresh
-    Hom(G - v, H), onto whose cells target_cells must pull back one-to-one
-    along the inclusion G - v -> G (else remaining_matches is False).
+    Either side folds w.v onto w.u in one argument of plan.hom and
+    enumerates the smaller Hom afresh: Hom(G - v, H) for side "first",
+    whose cells carry into Hom(G, H) by precomposing with the retraction,
+    and Hom(K, G - v) for side "second", whose cells carry into Hom(K, G)
+    along the inclusion.  The carried cells must be target_cells one to
+    one (else remaining_matches is False).  The steps replay on the order
+    complex of the cell poset (first) or on the cell poset itself
+    (second), and the cellular Betti numbers of both Homs are compared.
     """
-    hom = plan.hom
-    if plan.side == "second":
-        return compare_collapse(hom.poset, plan.sequence, plan.retained, coefficients)
-    small, _, inclusion = apply_fold(hom.domain, plan.witness)
-    # setting eta(v) = eta(u) extends every cell of Hom(G - v, H) to one of hom
-    folded = enumerate_hom_cells(small, hom.codomain, max(len(hom.cells), 1))
-    pull = induced_contravariant(inclusion, hom, folded).map
-    images = {pull[c] for c in plan.target_cells}
-    one_to_one = len(images) == len(plan.target_cells) == len(folded.cells)
-    remaining, report = execute_collapses(order_complex(hom.poset), plan.sequence)
+    hom, first = plan.hom, plan.side == "first"
+    small, retraction, inclusion = apply_fold(hom.domain if first else hom.codomain, plan.witness)
+    pair = (small, hom.codomain) if first else (hom.domain, small)
+    folded = enumerate_hom_cells(*pair, max(len(hom.cells), 1))  # both folded Homs embed in hom
+    if first:
+        carried, ambient = induced_contravariant(retraction, folded, hom), order_complex(hom.poset)
+    else:
+        carried, ambient = induced_covariant(inclusion, folded, hom), hom.poset
+    one_to_one = sorted(carried.map.values()) == sorted(plan.target_cells)
+    remaining, report = execute_collapses(ambient, plan.sequence)
     before, after = betti(hom.poset, coefficients), betti(folded.poset, coefficients)
-    return _judge(report, remaining, plan.retained, before, after, one_to_one)
+    return _judge(report, remaining, plan.retained, before, after, one_to_one, plan.side)
 
 
-def _judge(report, remaining, expected_remaining, before, after, pulls_back=True) -> Verdict:
+_CARRY_FAILURE = {
+    "first": "target cells do not pull back one-to-one onto Hom(G - v, H)",
+    "second": "target cells are not Hom(K, G - v) pushed forward one-to-one",
+}
+
+
+def _judge(report, remaining, expected_remaining, before, after, pulls_back=True, side="first") -> Verdict:
     """The verdict on a replay that left remaining, given the Betti vectors
     to compare; failure follows the order of the checks below."""
     euler_ok = report.valid and all(hi == lo + 1 for lo, hi in report.step_dims)
@@ -405,7 +406,7 @@ def _judge(report, remaining, expected_remaining, before, after, pulls_back=True
         (report.valid, report.detail),
         (euler_ok, "a step did not remove a (k, k+1) pair"),
         (matches, "survivors differ from the target"),
-        (pulls_back, "target cells do not pull back one-to-one onto Hom(G - v, H)"),
+        (pulls_back, _CARRY_FAILURE[side]),
         (before.betti == after.betti, "betti numbers differ"),
     )
     return Verdict(

@@ -9,10 +9,19 @@ survive subposet extraction, so collapse plans can name cells stably.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 Simplex = tuple[int, ...]
+
+
+class ResourceLimitError(RuntimeError):
+    """Enumeration exceeded the configured cell budget."""
+
+    def __init__(self, limit: int):
+        super().__init__(f"cell enumeration exceeded the budget of {limit}")
+        self.limit = limit
 
 
 class FacePoset:
@@ -112,24 +121,14 @@ class FacePoset:
     def linear_extension_rank(self) -> dict[int, int]:
         return {x: k for k, x in enumerate(self._topo)}
 
-    def minimal_in(self, subset: Iterable[int]) -> list[int]:
-        """Minimal elements of the induced subposet, sorted by id."""
-        sub = set(subset)
-        return sorted(x for x in sub if not (self.below(x) & sub))
-
-    def maximal_in(self, subset: Iterable[int]) -> list[int]:
-        sub = set(subset)
-        return sorted(x for x in sub if not (self.above(x) & sub))
-
     def chains(self, within: Iterable[int] | None = None) -> list[Simplex]:
         """All nonempty chains as id-sorted tuples.
 
         Each chain is grown upward from its minimum, so every chain is
         produced exactly once.
         """
-        wanted = set(self.ids if within is None else within)
-        members = [i for i in self.ids if i in wanted]
-        succ = {x: sorted(self.above(x) & wanted) for x in members}
+        wanted = set(self.ids) if within is None else {i for i in within if i in self.upper}
+        succ = {x: sorted(self.above(x) & wanted) for x in wanted}
         out: list[Simplex] = []
 
         def grow(chain: Simplex, last: int):
@@ -138,10 +137,17 @@ class FacePoset:
                 out.append(tuple(sorted(ext)))
                 grow(ext, nxt)
 
-        for x in sorted(members):
+        for x in sorted(wanted):
             out.append((x,))
             grow((x,), x)
         return out
+
+    def chain_count(self) -> int:
+        """Nonempty chains, counted unbuilt: those ending at x are x alone or atop one below x."""
+        ends: dict[int, int] = {}
+        for x in self._topo:
+            ends[x] = 1 + sum(ends[y] for y in self.below(x))
+        return sum(ends.values())
 
     def restrict(self, keep: Iterable[int]) -> "FacePoset":
         """Induced subposet on keep; ids are preserved, covers recomputed."""
@@ -219,12 +225,17 @@ class SimplicialComplex:
         self.simplices = sims
 
     @classmethod
-    def from_facets(cls, facets: Iterable[Sequence[int]]) -> "SimplicialComplex":
+    def from_facets(cls, facets: Iterable[Sequence[int]], max_simplices=math.inf) -> "SimplicialComplex":
+        """The closure of facets; ResourceLimitError as soon as it passes max_simplices simplices."""
         sims: set[Simplex] = set()
         for f in facets:
             f = tuple(sorted(set(f)))
+            if (1 << len(f)) - 1 > max_simplices:
+                raise ResourceLimitError(max_simplices)
             for k in range(1, len(f) + 1):
                 sims.update(itertools.combinations(f, k))
+            if len(sims) > max_simplices:
+                raise ResourceLimitError(max_simplices)
         return cls(sims, check=False)
 
     def __len__(self):
@@ -258,18 +269,17 @@ class SimplicialComplex:
         return {"vertices": self.vertices(), "facets": self.facets()}
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "SimplicialComplex":
+    def from_json(cls, data: Mapping, max_simplices=math.inf) -> "SimplicialComplex":
         try:
             facets = [tuple(json_int(v) for v in f) for f in data["facets"]]
             declared = {json_int(v) for v in data["vertices"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed complex JSON: {exc}") from None
-        x = cls.from_facets(facets)
         extra = {v for f in facets for v in f} - declared
         if extra:
             raise ValueError(f"facets mention undeclared vertices {sorted(extra)}")
         # isolated declared vertices are honest 0-simplices
-        return cls(x.simplices | {(v,) for v in declared}, check=False)
+        return cls.from_facets(facets + [(v,) for v in sorted(declared)], max_simplices)
 
 
 def order_complex(p: FacePoset) -> SimplicialComplex:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import time
 
 import pytest
 
@@ -261,6 +262,40 @@ def test_homology_input_errors(capsys, tmp_path):
     assert code == 2 and "too deeply" in err
 
 
+def chain_poset(n: int) -> dict:
+    return FacePoset(range(n), [(i, i + 1) for i in range(n - 1)]).to_json()
+
+
+@pytest.mark.parametrize("payload, budget, code", [
+    # a triangle facet closes to 7 simplices, and a 3-element chain has 7 chains
+    ({"vertices": [0, 1, 2], "facets": [[0, 1, 2]]}, 7, 0),
+    ({"vertices": [0, 1, 2], "facets": [[0, 1, 2]]}, 6, 3),
+    (chain_poset(3), 7, 0),
+    (chain_poset(3), 6, 3),
+    # 2**25 - 1 simplices and 2**22 - 1 chains: both are counted, never built
+    ({"vertices": list(range(25)), "facets": [list(range(25))]}, 1_000_000, 3),
+    (chain_poset(22), 1_000_000, 3),
+    # two facets within the budget whose union is not
+    ({"vertices": [0, 1, 2, 3], "facets": [[0, 1, 2], [1, 2, 3]]}, 11, 0),
+    ({"vertices": [0, 1, 2, 3], "facets": [[0, 1, 2], [1, 2, 3]]}, 10, 3),
+    # a budget below 1 is bad input, as under -G -H
+    ({"vertices": [], "facets": []}, 0, 2),
+    (chain_poset(1), -1, 2),
+])
+def test_homology_complex_honours_the_budget(capsys, tmp_path, payload, budget, code):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(payload))
+    started = time.perf_counter()
+    got, out, err = run(capsys, ["homology", "--complex", str(path), "--max-cells", str(budget)])
+    assert time.perf_counter() - started < 5
+    if code == 2:
+        assert got == 2 and not out and "max_cells must be positive" in err
+    elif code:
+        assert got == 3 and not out and f"exceeded the budget of {budget}" in err
+    else:
+        assert got == 0 and "f-vector" in out
+
+
 def test_verify_first_argument_fold(graphs, capsys):
     code, out, err = run(
         capsys,
@@ -333,6 +368,40 @@ def test_verify_first_fails_when_target_is_not_the_folded_complex(graphs, capsys
 
 
 PAW = "n 4\ne 0 1\ne 0 2\ne 1 2\ne 2 3\n"  # a triangle with vertex 3 hanging off 2
+
+
+@pytest.mark.parametrize("tamper", ["unfolded", "drop", "add"])
+def test_verify_second_fails_when_target_is_not_the_folded_complex(graphs, capsys, monkeypatch, tmp_path, tamper):
+    build = cli.second_arg_collapse
+
+    def tampered(*args):
+        plan = build(*args)
+        target = plan.target_cells
+        if tamper == "unfolded":  # no steps, so every cell survives and is the target
+            everything = tuple(range(len(plan.hom.cells)))
+            sequence = dataclasses.replace(plan.sequence, steps=())
+            return dataclasses.replace(plan, sequence=sequence, retained=frozenset(everything), target_cells=everything)
+        if tamper == "drop":
+            target = target[1:]
+        else:
+            target += (min(set(range(len(plan.hom.cells))) - set(target)),)
+        return dataclasses.replace(plan, target_cells=target)
+
+    monkeypatch.setattr(cli, "second_arg_collapse", tampered)
+    paw = tmp_path / "paw.graph"
+    paw.write_text(PAW)
+    code, out, err = run(
+        capsys,
+        ["verify", "-G", graphs["k2"], "-H", str(paw), "--side", "second", "--fold-vertex", "3", "--json"],
+    )
+    assert code == 1 and "verify: FAIL" in err
+    assert err.endswith("  failure: target cells are not Hom(K, G - v) pushed forward one-to-one\n")
+    verdict = json.loads(out)["verdict"]
+    # the replay lands on the plan's survivors and the Betti numbers agree; only the Hom-level check fails
+    assert verdict["valid"] is True and verdict["remaining_matches"] is False
+    assert verdict["betti_before"] == verdict["betti_after"]
+
+
 # Per tamper: the plan's steps it expects, how it rewrites them, the step the
 # replay stops at and the reason it gives.
 TAMPERED_STEPS = {
@@ -496,6 +565,11 @@ PINNED_OUT = {
     # torsion [[], [2]]: Hom(C5, K4p) has the integral homology of RP^3
     "homology-integer": (["homology", "-G", "c5", "-H", "k4p", "--coefficients", "integer"],
                          "fc926d9ddc39c5d12f0b04928957ab96ea77623c6f1c4c39a219535d5603f00e"),
+    "verify-first": (["verify", "-G", "p3", "-H", "k4", "--side", "first", "--fold-vertex", "0"],
+                     "71cc05d9abbf6ad9350cabcad3eac4567ec1c900f77cda2060705b021999299d"),
+    "verify-second-integer": (["verify", "-G", "c5", "-H", "k4p", "--side", "second", "--fold-vertex", "4",
+                               "--coefficients", "integer"],
+                              "c2f1d0aa7596de9c07f589df549d55f12100ffd7b4132963a1cbb1ccb4aad294"),
 }
 
 

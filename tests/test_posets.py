@@ -8,6 +8,7 @@ from homcollapse import (
     CollapseSequence,
     FacePoset,
     PosetMap,
+    ResourceLimitError,
     SimplicialComplex,
     face_poset,
     identity_map,
@@ -85,6 +86,26 @@ def test_chains_match_brute_enumeration():
     for _ in range(30):
         p = random_poset(rng, 8)
         assert sorted(p.chains()) == sorted(brute_chains(p))
+
+
+def test_chain_count_and_chains_within():
+    rng = random.Random(17)
+    for _ in range(30):
+        p = random_poset(rng, 8)
+        assert p.chain_count() == len(p.chains()) == len(brute_chains(p))
+        # ids outside the poset are ignored, and only chains inside within come out
+        within = {i for i in p.ids if rng.random() < 0.5} | {-1, len(p)}
+        assert p.chains(within=within) == [c for c in p.chains() if set(c) <= within]
+    assert chain_poset(20).chain_count() == 2**20 - 1
+
+
+def test_from_facets_stops_at_the_budget():
+    assert len(SimplicialComplex.from_facets([(0, 1, 2), (1, 2, 3)], max_simplices=11)) == 11
+    for facets in ([(0, 1, 2), (1, 2, 3)], [range(40)]):  # 2**40 - 1 simplices are never built
+        with pytest.raises(ResourceLimitError, match="budget of 10"):
+            SimplicialComplex.from_facets(facets, max_simplices=10)
+    with pytest.raises(ResourceLimitError):
+        SimplicialComplex.from_json({"vertices": [0, 1, 2, 3], "facets": [[0, 1, 2]]}, max_simplices=7)
 
 
 def test_order_complex_shapes():
