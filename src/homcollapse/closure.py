@@ -30,7 +30,7 @@ class ClosureError(ValueError):
     """A map handed to a collapse builder is not a closure operator."""
 
     def __init__(self, report):
-        super().__init__(report.describe())
+        super().__init__(f"{report.law} fails at {report.witness}")
         self.report = report
 
 
@@ -84,9 +84,6 @@ class Matching:
     poset: FacePoset
     pairs: frozenset[tuple[int, int]]
     critical: frozenset[int]
-
-    def to_json(self) -> dict:
-        return {"pairs": sorted(self.pairs), "critical": sorted(self.critical)}
 
 
 def collapse_sequence_from_closure(phi: PosetMap, direction: str) -> CollapseSequence:

@@ -83,7 +83,12 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (min, max) pairs, sorted; a loop appears as (v, v)."""
-        return [(v, u) for v in range(self.n) for u in bits(self.adj[v]) if u >= v]
+        out = []
+        for v in range(self.n):
+            for u in bits(self.adj[v]):
+                if u >= v:
+                    out.append((v, u))
+        return out
 
     def edge_count(self) -> int:
         return len(self.edges())

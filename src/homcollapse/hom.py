@@ -44,8 +44,12 @@ class HomComplex:
 
     def zero_cells(self) -> list[GraphHom]:
         """The vertex-level homomorphisms, i.e. cells of dimension 0."""
-        return [GraphHom(self.domain, self.codomain, tuple(m.bit_length() - 1 for m in cell))
-                for cell in self.cells if cell_dim(cell) == 0]
+        out = []
+        for cell in self.cells:
+            if cell_dim(cell) == 0:
+                out.append(GraphHom(self.domain, self.codomain,
+                                    tuple(m.bit_length() - 1 for m in cell)))
+        return out
 
     def to_json(self) -> dict:
         return self.poset.to_json()
@@ -124,10 +128,10 @@ def induced_covariant(f: GraphHom, source: HomComplex, target: HomComplex) -> Po
         raise ValueError("hom complexes do not match the map's endpoints")
     if source.domain != target.domain:
         raise ValueError("hom complexes must share their domain graph")
-    # cells share their masks, so each distinct mask is pushed forward once
-    pushed = {m: mask_of(f.map[a] for a in bits(m)) for m in {m for cell in source.cells for m in cell}}
-    index = target.cell_index
-    mapping = {cid: index[tuple(map(pushed.__getitem__, cell))] for cid, cell in enumerate(source.cells)}
+    mapping = {}
+    for cid, cell in enumerate(source.cells):
+        image = tuple(mask_of(f.map[a] for a in bits(m)) for m in cell)
+        mapping[cid] = target.cell_index[image]
     return PosetMap(source.poset, target.poset, mapping)
 
 

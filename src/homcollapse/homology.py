@@ -340,8 +340,14 @@ class Verdict:
         )
 
     def to_json(self) -> dict:
-        """Every field but failure, which only the summary line names."""
-        return {k: v for k, v in vars(self).items() if k != "failure"}
+        return {
+            "valid": self.valid,
+            "failed_step": self.failed_step,
+            "euler_invariant": self.euler_invariant,
+            "betti_before": self.betti_before,
+            "betti_after": self.betti_after,
+            "remaining_matches": self.remaining_matches,
+        }
 
 
 def compare_collapse(
@@ -371,9 +377,10 @@ def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
     whose cells carry into Hom(G, H) by precomposing with the retraction,
     and Hom(K, G - v) for side "second", whose cells carry into Hom(K, G)
     along the inclusion.  The carried cells must be target_cells one to
-    one (else remaining_matches is False).  The steps replay on the order
-    complex of the cell poset (first) or on the cell poset itself
-    (second), and the cellular Betti numbers of both Homs are compared.
+    one and span retained, else remaining_matches is False.  The steps
+    replay on the order complex of the cell poset (first) or on the cell
+    poset itself (second), and the cellular Betti numbers of both Homs
+    are compared.
     """
     hom, first = plan.hom, plan.side == "first"
     small, retraction, inclusion = apply_fold(hom.domain if first else hom.codomain, plan.witness)
@@ -381,23 +388,22 @@ def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
     folded = enumerate_hom_cells(*pair, max(len(hom.cells), 1))  # both folded Homs embed in hom
     if first:
         carried, ambient = induced_contravariant(retraction, folded, hom), order_complex(hom.poset)
+        cause = "target cells do not pull back one-to-one onto Hom(G - v, H)"
     else:
         carried, ambient = induced_covariant(inclusion, folded, hom), hom.poset
-    one_to_one = sorted(carried.map.values()) == sorted(plan.target_cells)
+        cause = "target cells are not Hom(K, G - v) pushed forward one-to-one"
+    cells = sorted(carried.map.values())
+    # the sequence's currency: chains of the carried cells (first) or the cells themselves
+    spans = frozenset(hom.poset.chains(within=cells) if first else cells)
+    on_target = cells == sorted(plan.target_cells) and plan.retained == spans
     remaining, report = execute_collapses(ambient, plan.sequence)
     before, after = betti(hom.poset, coefficients), betti(folded.poset, coefficients)
-    return _judge(report, remaining, plan.retained, before, after, one_to_one, plan.side)
+    return _judge(report, remaining, plan.retained, before, after, None if on_target else cause)
 
 
-_CARRY_FAILURE = {
-    "first": "target cells do not pull back one-to-one onto Hom(G - v, H)",
-    "second": "target cells are not Hom(K, G - v) pushed forward one-to-one",
-}
-
-
-def _judge(report, remaining, expected_remaining, before, after, pulls_back=True, side="first") -> Verdict:
+def _judge(report, remaining, expected_remaining, before, after, carry_failure=None) -> Verdict:
     """The verdict on a replay that left remaining, given the Betti vectors
-    to compare; failure follows the order of the checks below."""
+    to compare and why the target is not the folded Hom, if it is not."""
     euler_ok = report.valid and all(hi == lo + 1 for lo, hi in report.step_dims)
     survivors = set(remaining.ids if isinstance(remaining, FacePoset) else remaining.simplices)
     expected = {s if isinstance(s, int) else tuple(s) for s in expected_remaining}
@@ -406,7 +412,7 @@ def _judge(report, remaining, expected_remaining, before, after, pulls_back=True
         (report.valid, report.detail),
         (euler_ok, "a step did not remove a (k, k+1) pair"),
         (matches, "survivors differ from the target"),
-        (pulls_back, _CARRY_FAILURE[side]),
+        (carry_failure is None, carry_failure),
         (before.betti == after.betti, "betti numbers differ"),
     )
     return Verdict(
@@ -415,6 +421,6 @@ def _judge(report, remaining, expected_remaining, before, after, pulls_back=True
         euler_invariant=euler_ok,
         betti_before=before.betti,
         betti_after=after.betti,
-        remaining_matches=matches and pulls_back,
+        remaining_matches=matches and carry_failure is None,
         failure=next((cause for ok, cause in checks if not ok), None),
     )

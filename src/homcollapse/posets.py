@@ -170,13 +170,6 @@ class FacePoset:
         flipped = ((b, a) for a, bs in self.upper.items() for b in bs)
         return FacePoset(self.ids, flipped, self.dim_of, self.label_of)
 
-    def validate_covers(self) -> None:
-        """Reject transitive edges: a cover (a, b) must have nothing between."""
-        for a, b in self.covers:
-            between = self.above(a) & self.below(b)
-            if between:
-                raise ValueError(f"cover ({a}, {b}) is transitive: {min(between)} lies between")
-
     def to_json(self) -> dict:
         return {
             "elements": [
@@ -196,7 +189,10 @@ class FacePoset:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed poset JSON: {exc}") from None
         p = cls(elements, covers, dims, labels)
-        p.validate_covers()
+        for a, b in p.covers:  # a cover must have nothing between
+            between = p.above(a) & p.below(b)
+            if between:
+                raise ValueError(f"cover ({a}, {b}) is transitive: {min(between)} lies between")
         return p
 
 
@@ -322,9 +318,6 @@ class PosetMap:
             if y not in self.target:
                 raise ValueError(f"map sends {x} to {y}, which is not a target element")
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def is_order_preserving(self) -> tuple[int, int] | None:
         """A violated cover (a, b) with f(a) not below f(b), or None."""
         for a, b in self.source.covers:
@@ -354,11 +347,6 @@ class ClosureReport:
     @property
     def ok(self) -> bool:
         return self.law is None
-
-    def describe(self) -> str:
-        if self.ok:
-            return f"valid {self.direction} closure operator"
-        return f"{self.law} fails at {self.witness}"
 
 
 def verify_closure_operator(f: PosetMap, direction: str) -> ClosureReport:

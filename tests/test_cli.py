@@ -367,10 +367,30 @@ def test_verify_first_fails_when_target_is_not_the_folded_complex(graphs, capsys
     assert verdict["valid"] is True and verdict["remaining_matches"] is False
 
 
+def test_verify_first_fails_when_retained_is_not_what_the_target_spans(graphs, capsys, monkeypatch):
+    build = cli.first_arg_collapse
+
+    def tampered(*args):  # no steps, so every chain survives and is claimed; the target is left alone
+        plan = build(*args)
+        sequence = dataclasses.replace(plan.sequence, steps=())
+        return dataclasses.replace(plan, sequence=sequence, retained=frozenset(plan.hom.poset.chains()))
+
+    monkeypatch.setattr(cli, "first_arg_collapse", tampered)
+    code, out, err = run(
+        capsys,
+        ["verify", "-G", graphs["p3"], "-H", graphs["k3"],
+         "--side", "first", "--fold-vertex", "0", "--json"],
+    )
+    assert code == 1 and "verify: FAIL" in err
+    assert err.endswith("  failure: target cells do not pull back one-to-one onto Hom(G - v, H)\n")
+    verdict = json.loads(out)["verdict"]
+    assert verdict["valid"] is True and verdict["remaining_matches"] is False
+
+
 PAW = "n 4\ne 0 1\ne 0 2\ne 1 2\ne 2 3\n"  # a triangle with vertex 3 hanging off 2
 
 
-@pytest.mark.parametrize("tamper", ["unfolded", "drop", "add"])
+@pytest.mark.parametrize("tamper", ["unfolded", "retained", "drop", "add"])
 def test_verify_second_fails_when_target_is_not_the_folded_complex(graphs, capsys, monkeypatch, tmp_path, tamper):
     build = cli.second_arg_collapse
 
@@ -381,6 +401,9 @@ def test_verify_second_fails_when_target_is_not_the_folded_complex(graphs, capsy
             everything = tuple(range(len(plan.hom.cells)))
             sequence = dataclasses.replace(plan.sequence, steps=())
             return dataclasses.replace(plan, sequence=sequence, retained=frozenset(everything), target_cells=everything)
+        if tamper == "retained":  # the same, but the target is left alone
+            sequence = dataclasses.replace(plan.sequence, steps=())
+            return dataclasses.replace(plan, sequence=sequence, retained=frozenset(range(len(plan.hom.cells))))
         if tamper == "drop":
             target = target[1:]
         else:

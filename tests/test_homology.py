@@ -375,11 +375,12 @@ def test_compare_collapse_names_the_first_failed_check():
     verdict = _judge(report, remaining, {2}, betti(edge), points)
     assert verdict.betti_after == (2,) and verdict.failure == "betti numbers differ"
     # the survivors come before the pullback, and the pullback before the Betti numbers
-    verdict = _judge(report, remaining, {0}, betti(edge), points, pulls_back=False)
+    pullback = "target cells do not pull back one-to-one onto Hom(G - v, H)"
+    verdict = _judge(report, remaining, {0}, betti(edge), points, pullback)
     assert verdict.failure == "survivors differ from the target"
-    verdict = _judge(report, remaining, {2}, betti(edge), points, pulls_back=False)
+    verdict = _judge(report, remaining, {2}, betti(edge), points, pullback)
     assert not verdict.remaining_matches
-    assert verdict.failure == "target cells do not pull back one-to-one onto Hom(G - v, H)"
+    assert verdict.failure == pullback
 
 
 def test_compare_collapse_cw_mode_uses_cellular_homology():
