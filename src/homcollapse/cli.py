@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+_CELL_BUDGET = "enumerations beyond this many cells"  # what --max-cells bounds, for --help
 
 
 def _read_graph(path: str):
@@ -197,7 +198,7 @@ def cmd_collapse(args) -> int:
 
 
 def _load_complex(path: str, max_cells: int):
-    """The complex in path, or its poset's order complex; ResourceLimitError once past max_cells simplices."""
+    """The complex in path, or its poset's order complex; ResourceLimitError once past max_cells simplices or chains."""
     if max_cells < 1:  # as enumerate_hom_cells requires under -G -H
         raise ValueError("max_cells must be positive")
     try:
@@ -212,8 +213,8 @@ def _load_complex(path: str, max_cells: int):
         return SimplicialComplex.from_json(data, max_cells)
     if isinstance(data, dict) and "elements" in data:
         poset = FacePoset.from_json(data)
-        if poset.chain_count() > max_cells:
-            raise ResourceLimitError(max_cells)
+        if sum(poset.chain_counts()) > max_cells:
+            raise ResourceLimitError(max_cells, "chain")
         return order_complex(poset)
     raise ValueError(f"{path} holds neither a complex nor a poset")
 
@@ -231,8 +232,8 @@ def cmd_homology(args) -> int:
         g = _read_graph(args.domain)
         h = _read_graph(args.codomain)
         cells = enumerate_hom_cells(g, h, args.max_cells).poset
-        # the f-vector is the order complex's; the Betti numbers are cellular, the same ones
-        fv, bv = order_complex(cells).f_vector(), betti(cells, args.coefficients)
+        # the f-vector is the order complex's, counted unbuilt; the Betti numbers are cellular, the same ones
+        fv, bv = cells.chain_counts(), betti(cells, args.coefficients)
     line = f"f-vector: {list(fv)}  betti: {list(bv.betti)}"
     if bv.torsion:
         line += f"  torsion: {[list(t) for t in bv.torsion]}"
@@ -248,6 +249,8 @@ def cmd_homology(args) -> int:
 
 def cmd_verify(args) -> int:
     plan = _plan(args)
+    if plan.side == "first" and sum(plan.hom.poset.chain_counts()) > args.max_cells:
+        raise ResourceLimitError(args.max_cells, "chain")  # before the replay builds the order complex
     verdict = verify_plan(plan, args.coefficients)
     status = "PASS" if verdict.all_pass else "FAIL"
     line = (
@@ -295,11 +298,11 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="stream the JSON artifact to stdout")
 
 
-def _add_hom_pair(p: argparse.ArgumentParser) -> None:
+def _add_hom_pair(p: argparse.ArgumentParser, budget: str = _CELL_BUDGET) -> None:
     p.add_argument("-G", dest="domain", required=True, metavar="FILE", help="domain graph file")
     p.add_argument("-H", dest="codomain", required=True, metavar="FILE", help="codomain graph file")
     p.add_argument("--max-cells", type=int, default=1_000_000, metavar="N",
-                   help="abort enumerations beyond this many cells (default 1000000)")
+                   help=f"abort {budget} (default 1000000)")
 
 
 def _add_fold_selection(p: argparse.ArgumentParser) -> None:
@@ -309,8 +312,8 @@ def _add_fold_selection(p: argparse.ArgumentParser) -> None:
                    help="vertex to fold onto (default: first witness for the folded vertex)")
 
 
-def _add_plan_flags(p: argparse.ArgumentParser) -> None:
-    _add_hom_pair(p)
+def _add_plan_flags(p: argparse.ArgumentParser, budget: str = _CELL_BUDGET) -> None:
+    _add_hom_pair(p, budget)
     p.add_argument("--side", choices=("first", "second"), required=True,
                    help="fold in the domain (first) or the codomain (second)")
     _add_fold_selection(p)
@@ -349,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-G", dest="domain", metavar="FILE", help="domain graph file")
     p.add_argument("-H", dest="codomain", metavar="FILE", help="codomain graph file")
     p.add_argument("--max-cells", type=int, default=1_000_000, metavar="N",
-                   help="abort beyond this many cells, or simplices with --complex (default 1000000)")
+                   help="abort beyond this many cells, or simplices or chains with --complex (default 1000000)")
     p.add_argument("--coefficients", choices=("gf2", "integer"), default="gf2")
     _add_output_flags(p)
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("verify", help="replay a fold collapse and cross-check it")
-    _add_plan_flags(p)
+    _add_plan_flags(p, "beyond this many cells, or order-complex chains with --side first")
     p.add_argument("--coefficients", choices=("gf2", "integer"), default="gf2")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -76,7 +76,7 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
         if x == g.n:
             cells.append(tuple(assignment))
             if len(cells) > max_cells:
-                raise ResourceLimitError(max_cells)
+                raise ResourceLimitError(max_cells, "cell")
             return
         allowed = full
         for y in earlier[x]:

@@ -40,7 +40,9 @@ def execute_collapses(ambient, seq: CollapseSequence):
     A step (free, coface) is legal when both are present, coface covers
     free, free has no other remaining coface, and coface is maximal.  On
     the first illegal step the replay stops; the report names the step and
-    an offending cell.  Returns (remaining complex, CollapseReport).
+    an offending cell.  Returns (surviving cells, CollapseReport): a set of
+    simplices in simplicial mode, of element ids in cw mode.  Legal steps
+    remove free pairs, so the survivors are a subcomplex (a down-set).
     """
     if isinstance(ambient, SimplicialComplex):
         if seq.mode != "simplicial":
@@ -53,10 +55,6 @@ def execute_collapses(ambient, seq: CollapseSequence):
 
         def dim(s):
             return len(s) - 1
-
-        def survivors(remaining):
-            return SimplicialComplex(remaining, check=False)
-
     elif isinstance(ambient, FacePoset):
         if seq.mode != "cw":
             raise ValueError("simplicial sequence cannot run on a face poset")
@@ -66,15 +64,6 @@ def execute_collapses(ambient, seq: CollapseSequence):
 
         def dim(i):
             return ambient.dim_of.get(i, -1)
-
-        def survivors(remaining):
-            # legal steps remove only maximal cells: a down-set keeps the ambient's covers
-            return FacePoset(
-                [i for i in cells if i in remaining],
-                ((a, b) for a in remaining for b in ambient.upper[a] if b in remaining),
-                {i: d for i, d in ambient.dim_of.items() if i in remaining},
-                {i: x for i, x in ambient.label_of.items() if i in remaining},
-            )
     else:
         raise TypeError(f"cannot collapse a {type(ambient).__name__}")
 
@@ -103,13 +92,13 @@ def execute_collapses(ambient, seq: CollapseSequence):
             problem = f"coface {cof} is not maximal: {first_coface(cof)} remains"
         if problem is not None:
             report = CollapseReport(False, idx, tuple(dims), f"step {idx}: {problem}")
-            return survivors(remaining), report
+            return remaining, report
         dims.append((dim(free), dim(cof)))
         remaining.discard(cof)
         remaining.discard(free)
         for f in (*cof_faces, *faces(free)):
             up_count[f] -= 1
-    return survivors(remaining), CollapseReport(True, None, tuple(dims))
+    return remaining, CollapseReport(True, None, tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -365,7 +354,11 @@ def compare_collapse(
     ValueError.
     """
     remaining, report = execute_collapses(ambient, seq)
-    before, after = betti(ambient, coefficients), betti(remaining, coefficients)
+    if isinstance(ambient, SimplicialComplex):
+        survivors = SimplicialComplex(remaining, check=False)
+    else:
+        survivors = ambient.restrict(remaining)  # a down-set keeps the ambient's covers
+    before, after = betti(ambient, coefficients), betti(survivors, coefficients)
     return _judge(report, remaining, expected_remaining, before, after)
 
 
@@ -402,12 +395,10 @@ def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
 
 
 def _judge(report, remaining, expected_remaining, before, after, carry_failure=None) -> Verdict:
-    """The verdict on a replay that left remaining, given the Betti vectors
-    to compare and why the target is not the folded Hom, if it is not."""
+    """The verdict on a replay that left the set remaining, given the Betti
+    vectors to compare and why the target is not the folded Hom, if not."""
     euler_ok = report.valid and all(hi == lo + 1 for lo, hi in report.step_dims)
-    survivors = set(remaining.ids if isinstance(remaining, FacePoset) else remaining.simplices)
-    expected = {s if isinstance(s, int) else tuple(s) for s in expected_remaining}
-    matches = report.valid and survivors == expected
+    matches = report.valid and remaining == set(expected_remaining)
     checks = (
         (report.valid, report.detail),
         (euler_ok, "a step did not remove a (k, k+1) pair"),

@@ -17,10 +17,10 @@ Simplex = tuple[int, ...]
 
 
 class ResourceLimitError(RuntimeError):
-    """Enumeration exceeded the configured cell budget."""
+    """A count of cells, simplices or chains exceeded the configured budget."""
 
-    def __init__(self, limit: int):
-        super().__init__(f"cell enumeration exceeded the budget of {limit}")
+    def __init__(self, limit: int, counted: str):
+        super().__init__(f"the {counted} count exceeded the budget of {limit}")
         self.limit = limit
 
 
@@ -142,12 +142,17 @@ class FacePoset:
             grow((x,), x)
         return out
 
-    def chain_count(self) -> int:
-        """Nonempty chains, counted unbuilt: those ending at x are x alone or atop one below x."""
-        ends: dict[int, int] = {}
-        for x in self._topo:
-            ends[x] = 1 + sum(ends[y] for y in self.below(x))
-        return sum(ends.values())
+    def chain_counts(self) -> tuple[int, ...]:
+        """The order complex's f-vector, counted unbuilt: entry k counts the
+        chains of k + 1 elements.  Those ending at x are x alone, or x atop
+        a chain one element shorter ending below x."""
+        ends = dict.fromkeys(self.ids, 1)  # x: chains of len(counts) + 1 elements ending at x
+        counts = []
+        zeros = itertools.repeat(0)
+        while ends:  # where no chain of k elements ends, no chain of k + 1 does
+            counts.append(sum(ends.values()))
+            ends = {x: n for x in ends if (n := sum(map(ends.get, self.below(x), zeros)))}
+        return tuple(counts)
 
     def restrict(self, keep: Iterable[int]) -> "FacePoset":
         """Induced subposet on keep; ids are preserved, covers recomputed."""
@@ -227,11 +232,11 @@ class SimplicialComplex:
         for f in facets:
             f = tuple(sorted(set(f)))
             if (1 << len(f)) - 1 > max_simplices:
-                raise ResourceLimitError(max_simplices)
+                raise ResourceLimitError(max_simplices, "simplex")
             for k in range(1, len(f) + 1):
                 sims.update(itertools.combinations(f, k))
             if len(sims) > max_simplices:
-                raise ResourceLimitError(max_simplices)
+                raise ResourceLimitError(max_simplices, "simplex")
         return cls(sims, check=False)
 
     def __len__(self):

@@ -15,7 +15,7 @@ from homcollapse import (
     parse_graph,
     verify_closure_operator,
 )
-from homcollapse import cli
+from homcollapse import cli, homology
 from homcollapse.cli import main
 from homcollapse.closure import MAX_RANDOM_ELEMENTS
 
@@ -224,6 +224,23 @@ def test_homology_integer_sphere(capsys, tmp_path):
     assert data["betti"] == [1, 0, 0, 1] and data["torsion"] == []
 
 
+def _refuse_order_complex(poset):
+    raise AssertionError("an order complex was built")
+
+
+def test_homology_from_graphs_counts_chains_unbuilt(graphs, capsys, tmp_path, monkeypatch):
+    # the f-vector is the order complex's, counted from the cell poset without building it
+    monkeypatch.setattr(cli, "order_complex", _refuse_order_complex)
+    k5 = tmp_path / "k5.graph"
+    k5.write_text(format_graph(complete(5)))
+    code, out, err = run(capsys, ["homology", "-G", graphs["p3"], "-H", str(k5)])
+    assert code == 0 and err == ""
+    assert out == "f-vector: [1710, 32070, 165360, 378120, 437520, 252000, 57600]  betti: [1, 0, 0, 1]\n"
+    # Hom(K3, K2) is empty
+    code, out, err = run(capsys, ["homology", "-G", graphs["k3"], "-H", graphs["k2"]])
+    assert code == 0 and err == "" and out == "f-vector: []  betti: []\n"
+
+
 def test_homology_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["homology"])
     assert code == 2 and "--complex" in err
@@ -291,7 +308,8 @@ def test_homology_complex_honours_the_budget(capsys, tmp_path, payload, budget, 
     if code == 2:
         assert got == 2 and not out and "max_cells must be positive" in err
     elif code:
-        assert got == 3 and not out and f"exceeded the budget of {budget}" in err
+        counted = "simplex" if "facets" in payload else "chain"
+        assert got == 3 and not out and f"the {counted} count exceeded the budget of {budget}" in err
     else:
         assert got == 0 and "f-vector" in out
 
@@ -483,6 +501,20 @@ def test_verify_names_the_failed_step_of_a_tampered_plan(graphs, capsys, monkeyp
     assert err.startswith("verify: FAIL") and err.endswith(f"  failure: {failure}\n")
 
 
+def test_verify_first_counts_chains_against_the_budget(graphs, capsys, tmp_path, monkeypatch):
+    # Hom(P3, K4) has 254 cells and 9,098 chains; past the budget, the replay's
+    # order complex is refused before it is built
+    k4 = tmp_path / "k4.graph"
+    k4.write_text(format_graph(complete(4)))
+    argv = ["verify", "-G", graphs["p3"], "-H", str(k4), "--side", "first", "--fold-vertex", "0", "--max-cells"]
+    monkeypatch.setattr(homology, "order_complex", _refuse_order_complex)
+    code, out, err = run(capsys, argv + ["9097"])
+    assert code == 3 and not out and "the chain count exceeded the budget of 9097" in err
+    monkeypatch.undo()
+    code, out, err = run(capsys, argv + ["9098"])
+    assert code == 0 and out.startswith("verify: PASS") and err == ""
+
+
 def test_verify_first_side_bad_fold_is_input_error(graphs, capsys):
     # the fold is checked before Hom(G, H) is enumerated, so the cell budget is never hit
     code, _, err = run(
@@ -558,7 +590,7 @@ def test_max_cells_budget_exit(graphs, capsys, tmp_path):
     e3 = tmp_path / "e3.graph"
     e3.write_text("n 3\n")
     code, _, err = run(capsys, ["hom", "-G", str(e3), "-H", graphs["k3"], "--max-cells", "10"])
-    assert code == 3 and "10" in err
+    assert code == 3 and "the cell count exceeded the budget of 10" in err
 
 
 def test_hom_deep_domain_is_not_bounded_by_recursion(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -92,11 +93,14 @@ def test_chain_count_and_chains_within():
     rng = random.Random(17)
     for _ in range(30):
         p = random_poset(rng, 8)
-        assert p.chain_count() == len(p.chains()) == len(brute_chains(p))
+        chains = brute_chains(p)
+        counts = p.chain_counts()
+        assert sum(counts) == len(p.chains()) == len(chains)
+        assert counts == tuple(sum(len(c) == k for c in chains) for k in range(1, max(map(len, chains)) + 1))
         # ids outside the poset are ignored, and only chains inside within come out
         within = {i for i in p.ids if rng.random() < 0.5} | {-1, len(p)}
         assert p.chains(within=within) == [c for c in p.chains() if set(c) <= within]
-    assert chain_poset(20).chain_count() == 2**20 - 1
+    assert chain_poset(20).chain_counts() == tuple(math.comb(20, k) for k in range(1, 21))
 
 
 def test_from_facets_stops_at_the_budget():
