@@ -17,6 +17,8 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice, starmap
+from operator import itemgetter
 from pathlib import Path
 
 from .closure import MAX_RANDOM_ELEMENTS, random_descending_closure, random_poset
@@ -53,14 +55,23 @@ def _dump(payload, stream) -> None:
     """Write json.dump(payload, stream, indent=2, sort_keys=True), then a newline.
 
     With an indent the stdlib skips its C encoder and writes one token at a
-    time, so here each container is one str.join; scalars other than plain
-    ints and strs still go through json.dumps.  Dict keys must be strs, as
-    in every payload the commands build; any other key raises TypeError.
-    The top two levels, and any deeper container of more than 1024 items,
-    are written one item at a time, so the whole text is never held at
-    once.  The helpers are nested because perfbench's tracer wraps every
-    function of this module.
+    time.  Here lists are read in chunks of 1024 items, and a chunk of
+    same-shaped items is written through one str.format template: rows
+    (lists or tuples of one length, such as covers) fill "[{},{}]" column
+    by column, and records (dicts with one key tuple, such as poset
+    elements) fill a template of their sorted, quoted keys.  A column of
+    exact ints goes in as is, a column of rows or records recurses, and any
+    other column is encoded once per distinct object, since hom labels
+    share their vertex tuples.  A chunk of mixed shapes is encoded item by
+    item; scalars other than plain ints and strs go through json.dumps.
+    Dict keys must be strs, as in every payload the commands build; any
+    other key raises TypeError.  The top two levels, and any deeper
+    container of more than 1024 items, are written one chunk at a time, so
+    the whole text is never held at once.  The helpers are nested because
+    perfbench's tracer wraps every function of this module, and a span per
+    call would measure the tracer.
     """
+    chunk_size = 1024
     scalar = json.dumps
     quote = json.encoder.encode_basestring_ascii
     only_ints = {int}.issuperset  # of map(type, x): exact ints, so no bools
@@ -76,7 +87,7 @@ def _dump(payload, stream) -> None:
             if only_ints(map(type, x)):  # int.__repr__(True) is '1', json writes true
                 body = map(int.__repr__, x)
             else:
-                body = [encode(v, inner) for v in x]
+                body = map(str, column(x, inner))
             return "[" + inner + ("," + inner).join(body) + pad + "]"
         if x and isinstance(x, dict):
             inner = pad + "  "
@@ -84,26 +95,73 @@ def _dump(payload, stream) -> None:
             return "{" + inner + ("," + inner).join(body) + pad + "}"
         return scalar(x)
 
+    def column(xs, pad: str):
+        # what str.format writes for each of xs on lines starting with pad
+        shaped = same_shaped(xs, pad)
+        if shaped is not None:
+            return shaped
+        ids = list(map(id, xs))
+        text = {i: encode(x, pad) for i, x in dict(zip(ids, xs)).items()}
+        return list(map(text.__getitem__, ids))
+
+    def same_shaped(xs, pad: str):
+        # xs as str.format fills them in, or None if they differ in shape
+        types = set(map(type, xs))
+        if types == {int}:  # exact ints, as in encode
+            return xs
+        inner = pad + "  "
+        if types <= {list, tuple}:
+            n, *others = set(map(len, xs))
+            if others or not 0 < n <= chunk_size:
+                return None
+            template = "[" + inner + ("," + inner).join(["{}"] * n) + pad + "]"
+            rows = xs
+        elif types == {dict}:
+            keys, *others = set(map(tuple, xs))
+            if others or not 1 < len(keys) <= chunk_size or not all(type(k) is str for k in keys):
+                return None
+            keys = sorted(keys)
+            quoted = (quote(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+            template = "{{" + inner + ("," + inner).join(quoted) + pad + "}}"
+            rows = list(map(itemgetter(*keys), xs))
+        else:
+            return None
+        return list(starmap(template.format, zip(*[column(c, inner) for c in zip(*rows)])))
+
     def streamed(x, top: bool) -> bool:
-        return isinstance(x, (list, tuple, dict)) and len(x) > (0 if top else 1024)
+        return isinstance(x, (list, tuple, dict)) and len(x) > (0 if top else chunk_size)
 
     def pieces(x, pad: str, top: bool):
         inner = pad + "  "
+        sep = inner
         if isinstance(x, dict):
             items = [(quote(k) + ": ", v) for k, v in sorted(x.items())]
             yield "{"
+            for prefix, v in items:
+                yield from piece(sep + prefix, v, inner, top)
+                sep = "," + inner
+            yield pad + "}"
+            return
+        yield "["
+        items = iter(x)  # no copy of a long list
+        while chunk := list(islice(items, chunk_size)):
+            shaped = None if top else same_shaped(chunk, inner)
+            if shaped is not None:
+                yield sep + ("," + inner).join(map(str, shaped))
+                sep = "," + inner
+                continue
+            for v in chunk:
+                yield from piece(sep, v, inner, top)
+                sep = "," + inner
+        yield pad + "]"
+
+    def piece(lead: str, x, pad: str, top: bool):
+        # x after lead, where top says whether x's container is the payload
+        if streamed(x, top):
+            yield lead
+            yield from pieces(x, pad, False)
         else:
-            items = (("", v) for v in x)  # no copy of a long list
-            yield "["
-        sep = inner
-        for prefix, v in items:
-            if streamed(v, top):
-                yield sep + prefix
-                yield from pieces(v, inner, False)
-            else:
-                yield sep + prefix + encode(v, inner)
-            sep = "," + inner
-        yield pad + ("}" if isinstance(x, dict) else "]")
+            yield lead + encode(x, pad)
 
     if streamed(payload, True):
         stream.writelines(pieces(payload, "\n", True))

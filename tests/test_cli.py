@@ -625,6 +625,10 @@ PINNED_OUT = {
     "verify-second-integer": (["verify", "-G", "c5", "-H", "k4p", "--side", "second", "--fold-vertex", "4",
                                "--coefficients", "integer"],
                               "c2f1d0aa7596de9c07f589df549d55f12100ffd7b4132963a1cbb1ccb4aad294"),
+    # 2,640 elements and 8,100 covers: 3 and 8 chunks of 1024 in the writer.
+    # Pinned from the per-item encoder that wrote each item with its own call.
+    "hom-multi-chunk": (["hom", "-G", "c5", "-H", "k4p"],
+                        "75123fb9174a2e0c92658907eb1c62f8dfd88f868952fc11184e90038880b69c"),
 }
 
 
@@ -707,6 +711,28 @@ def random_payload(rng, depth=0):
             for i, v in enumerate(items)}
 
 
+def long_lists(rng, size):
+    """Lists of size items in the shapes the writer templates a chunk at a
+    time, each with odd items that must leave the template path."""
+    shared = (1, 2, 3)
+
+    def rows(odd):
+        xs = [[i, -i, 7 * i] for i in range(size)]
+        xs[rng.randrange(size)][rng.randrange(3)] = odd
+        return xs
+
+    yield from (rows(odd) for odd in (True, 1.5, None, "s{0}", 2**80))
+    yield [[] if i % 2 else () for i in range(size)]
+    yield [tuple(range(i % 4)) for i in range(size)]
+    yield [[[i, i], [i, -i]] for i in range(size)]
+    yield [(shared, (i,), ()) for i in range(size)]  # label-like rows of vertex tuples
+    yield [(shared, i) for i in range(size)]
+    yield [{"id": i, "dim": -i, "label": (shared, (i % 3,))} for i in range(size)]
+    yield [{"b": i, "a": [i]} if rng.random() < 0.5 else {"a": [i], "b": i} for i in range(size)]
+    yield [{"{": i, "}": shared, '"{0}"': [i, True], "{}": {"x": i, "{y}": i}} for i in range(size)]
+    yield [{"only": i} for i in range(size)]
+
+
 def test_dump_matches_json_dump_on_random_payloads():
     rng = random.Random(9)
     payloads = [random_payload(rng) for _ in range(3000)]
@@ -720,10 +746,18 @@ def test_dump_matches_json_dump_on_random_payloads():
     }})
     for payload in payloads:
         assert dumped(payload) == oracle(payload), payload
+    # chunk boundaries at depth one (always streamed), depth two (streamed
+    # past 1024 items) and depth three inside a short list (never streamed)
+    for size in (1, 1023, 1024, 1025, 3000):
+        for xs in long_lists(rng, size):
+            for payload in ({"x": xs}, {"x": {"y": xs}}, {"x": {"y": [xs]}}):
+                assert dumped(payload) == oracle(payload), (size, xs[:3])
     # json writes a bool as true, though int.__repr__(True) is "1"
     assert dumped([1, True, 0]) == "[\n  1,\n  true,\n  0\n]\n"
     with pytest.raises(TypeError):
         dumped({1: 2})
+    with pytest.raises(TypeError):
+        dumped({"x": [{"id": i, "dim": 0} for i in range(1499)] + [{"id": 1499, 0: 0}]})
 
 
 def test_dump_matches_json_dump_on_every_command(graphs, capsys, monkeypatch, tmp_path):
