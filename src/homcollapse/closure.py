@@ -11,9 +11,8 @@ and minimal and maximal, swapped.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .posets import (
     FacePoset,
@@ -52,11 +51,6 @@ class CollapseSequence:
 
     def __len__(self):
         return len(self.steps)
-
-    def __add__(self, other: "CollapseSequence") -> "CollapseSequence":
-        if self.mode != other.mode:
-            raise ValueError("cannot concatenate sequences of different modes")
-        return CollapseSequence(self.mode, self.steps + other.steps)
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "steps": [{"free": a, "coface": b} for a, b in self.steps]}
@@ -222,67 +216,6 @@ def verify_acyclic_matching(m: Matching) -> tuple[bool, list[int] | None]:
                 return False, cycle
         # color 2 neighbors are settled
     return True, None
-
-
-def _connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ra, rb = find(u), find(v)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), set()).add(v)
-    return [frozenset(g) for g in groups.values()]
-
-
-def disconnected_graph_fixture(n: int) -> tuple[FacePoset, PosetMap]:
-    """Inclusion poset of disconnected graphs with at least one edge on n
-    labeled vertices, with the ascending closure completing each connected
-    component to a clique.
-
-    The closure lands on disjoint unions of at least two cliques, not all
-    single vertices; those are the interior of the lattice of set
-    partitions.  Elements are labeled by their sorted edge lists.
-    """
-    if not 3 <= n <= 6:
-        raise ValueError("fixture size must be between 3 and 6")
-    possible = list(itertools.combinations(range(n), 2))
-    graphs: list[frozenset[tuple[int, int]]] = []
-    for r in range(1, len(possible) + 1):
-        for combo in itertools.combinations(possible, r):
-            if len(_connected_components(n, combo)) >= 2:
-                graphs.append(frozenset(combo))
-    graphs.sort(key=lambda es: (len(es), sorted(es)))
-    index = {es: k for k, es in enumerate(graphs)}
-    covers = []
-    for es, k in index.items():
-        for e in possible:
-            if e not in es:
-                bigger = index.get(es | {e})
-                if bigger is not None:
-                    covers.append((k, bigger))
-    mapping = {}
-    for es, k in index.items():
-        comps = _connected_components(n, es)
-        hull = frozenset(
-            pair for comp in comps for pair in itertools.combinations(sorted(comp), 2)
-        )
-        mapping[k] = index[hull]
-    poset = FacePoset(
-        range(len(graphs)),
-        covers,
-        {k: len(es) - 1 for es, k in index.items()},
-        {k: tuple(sorted(es)) for es, k in index.items()},
-    )
-    return poset, PosetMap(poset, poset, mapping)
 
 
 # random_poset closes an n x n relation in O(n^3)

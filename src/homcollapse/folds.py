@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .closure import CollapseSequence, collapse_sequence_from_closure
 from .graphs import FoldWitness, Graph, check_fold
-from .hom import HomComplex, enumerate_hom_cells
+from .hom import HomComplex, ResourceLimitError, enumerate_hom_cells
 from .posets import PosetMap
 
 
@@ -69,12 +69,18 @@ def first_arg_collapse(g: Graph, h: Graph, w: FoldWitness, max_cells: int = 1_00
     """Collapse the order complex of Hom(g, h) onto that of the subposet
     where eta(w.v) == eta(w.u), for a fold w inside the domain g, by
     running the ascending closure and then the descending one on its fixed
-    cells."""
+    cells.
+
+    max_cells bounds the cells of Hom(g, h) and then its chains, which are
+    counted before any step is built: ResourceLimitError past either."""
     check_fold(g, w)
     hom = enumerate_hom_cells(g, h, max_cells)
+    if sum(hom.poset.chain_counts()) > max_cells:
+        raise ResourceLimitError(max_cells, "chain")
     alpha, beta = alpha_beta_maps(hom, w)
-    seq = collapse_sequence_from_closure(alpha, "ascending")
-    seq = seq + collapse_sequence_from_closure(beta, "descending")
+    up = collapse_sequence_from_closure(alpha, "ascending")
+    down = collapse_sequence_from_closure(beta, "descending")
+    seq = CollapseSequence("simplicial", up.steps + down.steps)
     target = tuple(sorted(set(beta.map.values())))
     retained = frozenset(hom.poset.chains(within=target))
     return FoldCollapsePlan(

@@ -162,19 +162,6 @@ class GraphHom:
             if not 0 <= y < self.target.n:
                 raise ValueError(f"map value {y} is not a target vertex")
 
-    def __call__(self, v: int) -> int:
-        return self.map[v]
-
-    def then(self, other: "GraphHom") -> "GraphHom":
-        """Composite source -> self.target -> other.target."""
-        if other.source is not self.target and other.source != self.target:
-            raise ValueError("composition targets do not match")
-        return GraphHom(self.source, other.target, tuple(other.map[y] for y in self.map))
-
-
-def identity_hom(g: Graph) -> GraphHom:
-    return GraphHom(g, g, tuple(range(g.n)))
-
 
 def is_homomorphism(h: GraphHom) -> bool:
     """True when h carries every edge (loops included) to an edge."""

@@ -42,15 +42,6 @@ class HomComplex:
     def __len__(self):
         return len(self.cells)
 
-    def zero_cells(self) -> list[GraphHom]:
-        """The vertex-level homomorphisms, i.e. cells of dimension 0."""
-        out = []
-        for cell in self.cells:
-            if cell_dim(cell) == 0:
-                out.append(GraphHom(self.domain, self.codomain,
-                                    tuple(m.bit_length() - 1 for m in cell)))
-        return out
-
     def to_json(self) -> dict:
         return self.poset.to_json()
 

@@ -109,9 +109,6 @@ class BettiVector:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...] | None = None
 
-    def torsion_free(self) -> bool:
-        return not self.torsion or all(not t for t in self.torsion)
-
 
 def _trim(seq: Sequence) -> tuple:
     out = list(seq)

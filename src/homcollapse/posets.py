@@ -330,15 +330,6 @@ class PosetMap:
                 return (a, b)
         return None
 
-    def then(self, other: "PosetMap") -> "PosetMap":
-        if other.source.ids != self.target.ids:
-            raise ValueError("composition sources/targets do not match")
-        return PosetMap(self.source, other.target, {x: other.map[y] for x, y in self.map.items()})
-
-
-def identity_map(p: FacePoset) -> PosetMap:
-    return PosetMap(p, p, {x: x for x in p.ids})
-
 
 @dataclass(frozen=True)
 class ClosureReport:

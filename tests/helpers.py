@@ -2,13 +2,14 @@
 
 The oracles here deliberately avoid the library's own data paths: subset
 enumeration over itertools, reachability by repeated squaring over cover
-lists, homomorphism search over raw product loops.
+lists, homomorphism search over raw product loops.  The partition-lattice
+fixture at the end is a worked closure example for the collapse tests.
 """
 
 import itertools
 import json
 
-from homcollapse import Graph
+from homcollapse import FacePoset, Graph, PosetMap
 
 
 def as_read(value):
@@ -141,3 +142,64 @@ def brute_chains(poset):
                    for a, b in itertools.combinations(combo, 2)):
                 out.append(combo)
     return out
+
+
+def _connected_components(n, edges):
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in edges:
+        ra, rb = find(u), find(v)
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(g) for g in groups.values()]
+
+
+def disconnected_graph_fixture(n):
+    """Inclusion poset of disconnected graphs with at least one edge on n
+    labeled vertices, with the ascending closure completing each connected
+    component to a clique.
+
+    The closure lands on disjoint unions of at least two cliques, not all
+    single vertices; those are the interior of the lattice of set
+    partitions.  Elements are labeled by their sorted edge lists.
+    """
+    if not 3 <= n <= 6:
+        raise ValueError("fixture size must be between 3 and 6")
+    possible = list(itertools.combinations(range(n), 2))
+    graphs = []
+    for r in range(1, len(possible) + 1):
+        for combo in itertools.combinations(possible, r):
+            if len(_connected_components(n, combo)) >= 2:
+                graphs.append(frozenset(combo))
+    graphs.sort(key=lambda es: (len(es), sorted(es)))
+    index = {es: k for k, es in enumerate(graphs)}
+    covers = []
+    for es, k in index.items():
+        for e in possible:
+            if e not in es:
+                bigger = index.get(es | {e})
+                if bigger is not None:
+                    covers.append((k, bigger))
+    mapping = {}
+    for es, k in index.items():
+        comps = _connected_components(n, es)
+        hull = frozenset(
+            pair for comp in comps for pair in itertools.combinations(sorted(comp), 2)
+        )
+        mapping[k] = index[hull]
+    poset = FacePoset(
+        range(len(graphs)),
+        covers,
+        {k: len(es) - 1 for es, k in index.items()},
+        {k: tuple(sorted(es)) for es, k in index.items()},
+    )
+    return poset, PosetMap(poset, poset, mapping)

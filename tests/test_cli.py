@@ -15,7 +15,7 @@ from homcollapse import (
     parse_graph,
     verify_closure_operator,
 )
-from homcollapse import cli, homology
+from homcollapse import cli, folds, homology
 from homcollapse.cli import main
 from homcollapse.closure import MAX_RANDOM_ELEMENTS
 
@@ -501,17 +501,29 @@ def test_verify_names_the_failed_step_of_a_tampered_plan(graphs, capsys, monkeyp
     assert err.startswith("verify: FAIL") and err.endswith(f"  failure: {failure}\n")
 
 
+def _refuse_sequence(phi, direction):
+    raise AssertionError("a collapse sequence was built")
+
+
 def test_verify_first_counts_chains_against_the_budget(graphs, capsys, tmp_path, monkeypatch):
-    # Hom(P3, K4) has 254 cells and 9,098 chains; past the budget, the replay's
-    # order complex is refused before it is built
+    # Hom(P3, K4) has 254 cells and 9,098 chains; past the budget, collapse and
+    # verify stop before any collapse step or order complex is built
     k4 = tmp_path / "k4.graph"
     k4.write_text(format_graph(complete(4)))
-    argv = ["verify", "-G", graphs["p3"], "-H", str(k4), "--side", "first", "--fold-vertex", "0", "--max-cells"]
+    pair = ["-G", graphs["p3"], "-H", str(k4), "--side", "first", "--fold-vertex", "0", "--max-cells"]
+    monkeypatch.setattr(folds, "collapse_sequence_from_closure", _refuse_sequence)
     monkeypatch.setattr(homology, "order_complex", _refuse_order_complex)
-    code, out, err = run(capsys, argv + ["9097"])
-    assert code == 3 and not out and "the chain count exceeded the budget of 9097" in err
+    for command in ("collapse", "verify"):
+        code, out, err = run(capsys, [command, *pair, "9097"])
+        assert code == 3 and not out and "the chain count exceeded the budget of 9097" in err, command
     monkeypatch.undo()
-    code, out, err = run(capsys, argv + ["9098"])
+    target = tmp_path / "plan.json"
+    code, out, err = run(capsys, ["collapse", *pair, "9098", "--out", str(target)])
+    assert code == 0 and err == ""
+    assert out == "plan: side=first fold=(0,2) steps=4404 ambient_cells=254 target_cells=50\n"
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "c42e46485e888a6d9d588bd7d0b17406e740b085befa5b44d88a1da85be7369a"
+    code, out, err = run(capsys, ["verify", *pair, "9098"])
     assert code == 0 and out.startswith("verify: PASS") and err == ""
 
 
@@ -737,6 +749,8 @@ def test_dump_matches_json_dump_on_random_payloads():
     rng = random.Random(9)
     payloads = [random_payload(rng) for _ in range(3000)]
     payloads += [7, "x", None, 1.5, True, [], {}, (), [[]], [{}], {"": []}]
+    # int rows of mixed lengths, one holding a bool, at the top and below it
+    payloads += [[[1, True], [2, 3, 4]], {"x": {"y": [[1, True], [2, 3, 4]]}}]
     # containers of more than 1024 items below the top two levels are streamed too
     payloads.append({"plan": {
         "ints": list(range(1500)),

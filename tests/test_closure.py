@@ -10,7 +10,6 @@ from homcollapse import (
     PosetMap,
     betti,
     collapse_sequence_from_closure,
-    disconnected_graph_fixture,
     execute_collapses,
     face_poset,
     image_subposet,
@@ -22,7 +21,7 @@ from homcollapse import (
     verify_closure_operator,
 )
 from homcollapse.closure import MAX_RANDOM_ELEMENTS
-from helpers import as_read
+from helpers import as_read, disconnected_graph_fixture
 
 
 def chain_poset(n):

@@ -11,7 +11,6 @@ from homcollapse import (
     apply_fold,
     find_folds,
     format_graph,
-    identity_hom,
     is_homomorphism,
     parse_graph,
 )
@@ -104,7 +103,7 @@ def test_apply_fold_path():
     assert folded == Graph.from_edges(2, [(0, 1)])
     assert f.map == (1, 0, 1)
     assert i.map == (1, 2)
-    assert i.then(f).map == (0, 1)  # retraction after inclusion is identity
+    assert tuple(f.map[y] for y in i.map) == (0, 1)  # retraction after inclusion is identity
 
 
 def test_apply_fold_star_gives_smaller_star():
@@ -137,7 +136,7 @@ def test_greedy_folding_reaches_stiff_core():
 
 def test_is_homomorphism():
     p3, k2 = path_graph(3), complete(2)
-    assert is_homomorphism(identity_hom(k2))
+    assert is_homomorphism(GraphHom(k2, k2, (0, 1)))
     assert is_homomorphism(GraphHom(p3, k2, (0, 1, 0)))
     assert not is_homomorphism(GraphHom(p3, k2, (0, 0, 0)))
     # collapsing an edge onto a looped vertex is legal
@@ -160,7 +159,7 @@ def test_fold_maps_are_homomorphisms_randomized():
             folded, f, i = apply_fold(g, w)
             assert is_homomorphism(f)
             assert is_homomorphism(i)
-            assert i.then(f).map == tuple(range(folded.n))
+            assert tuple(f.map[y] for y in i.map) == tuple(range(folded.n))
 
 
 def test_fold_detection_is_relabel_equivariant():
