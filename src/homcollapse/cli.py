@@ -54,115 +54,81 @@ def _read_graph(path: str):
 def _dump(payload, stream) -> None:
     """Write json.dump(payload, stream, indent=2, sort_keys=True), then a newline.
 
-    With an indent the stdlib skips its C encoder and writes one token at a
-    time.  Here lists are read in chunks of 1024 items, and a chunk of
-    same-shaped items is written through one str.format template: rows
-    (lists or tuples of one length, such as covers) fill "[{},{}]" column
-    by column, and records (dicts with one key tuple, such as poset
-    elements) fill a template of their sorted, quoted keys.  A column of
-    exact ints goes in as is, a column of rows or records recurses, and any
-    other column is encoded once per distinct object, since hom labels
-    share their vertex tuples.  A chunk of mixed shapes is encoded item by
-    item; scalars other than plain ints and strs go through json.dumps.
-    Dict keys must be strs, as in every payload the commands build; any
-    other key raises TypeError.  The top two levels, and any deeper
-    container of more than 1024 items, are written one chunk at a time, so
-    the whole text is never held at once.  The helpers are nested because
-    perfbench's tracer wraps every function of this module, and a span per
-    call would measure the tracer.
+    The stdlib skips its C encoder when given an indent.  texts encodes a
+    column at once: exact ints go in as is; rows (lists or tuples of one
+    length, such as covers) and records (dicts with one tuple of str keys,
+    such as poset elements) fill one str.format template column by column;
+    any other column is encoded once per distinct object, since hom labels
+    share their vertex tuples.  one encodes a single value.  pieces streams
+    every dict and list reached from the payload through dicts, a dict key
+    by key and a list 1024 items at a time, so the whole text is never held
+    at once.  Dict keys must be strs; any other key raises TypeError.  The
+    helpers are nested because perfbench's tracer wraps every function of
+    this module, and a span per call would measure the tracer.
     """
     chunk_size = 1024
-    scalar = json.dumps
     quote = json.encoder.encode_basestring_ascii
 
-    def encode(x, pad: str) -> str:
-        # pad is the newline and indent of the line x starts on
+    def texts(xs, pad: str):
+        # what str.format writes for each of xs, a non-empty column, on lines starting with pad
+        types = set(map(type, xs))
+        if types == {int}:  # exact ints, as in one
+            return xs
+        inner = pad + "  "
+        rows = None
+        if types <= {list, tuple}:
+            n, *others = set(map(len, xs))
+            if not others and 0 < n <= chunk_size:
+                template = "[" + inner + ("," + inner).join(["{}"] * n) + pad + "]"
+                rows = xs
+        elif types == {dict}:
+            keys, *others = set(map(tuple, xs))
+            if not others and 1 < len(keys) <= chunk_size and all(type(k) is str for k in keys):
+                keys = sorted(keys)
+                quoted = (quote(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+                template = "{{" + inner + ("," + inner).join(quoted) + pad + "}}"
+                rows = list(map(itemgetter(*keys), xs))
+        if rows is not None:
+            return list(starmap(template.format, zip(*[texts(c, inner) for c in zip(*rows)])))
+        ids = list(map(id, xs))
+        text = {i: one(x, pad) for i, x in dict(zip(ids, xs)).items()}
+        return list(map(text.__getitem__, ids))
+
+    def one(x, pad: str) -> str:
+        # x on a line starting with pad
         if type(x) is int:
             return int.__repr__(x)
         if type(x) is str:
             return quote(x)
         if x and isinstance(x, (list, tuple)):
             inner = pad + "  "
-            body = map(str, column(x, inner))
-            return "[" + inner + ("," + inner).join(body) + pad + "]"
+            return "[" + inner + ("," + inner).join(map(str, texts(x, inner))) + pad + "]"
         if x and isinstance(x, dict):
-            inner = pad + "  "
-            body = [quote(k) + ": " + encode(v, inner) for k, v in sorted(x.items())]
-            return "{" + inner + ("," + inner).join(body) + pad + "}"
-        return scalar(x)
+            return "".join(pieces(x, pad))
+        return json.dumps(x)
 
-    def column(xs, pad: str):
-        # what str.format writes for each of xs on lines starting with pad
-        shaped = same_shaped(xs, pad)
-        if shaped is not None:
-            return shaped
-        ids = list(map(id, xs))
-        text = {i: encode(x, pad) for i, x in dict(zip(ids, xs)).items()}
-        return list(map(text.__getitem__, ids))
-
-    def same_shaped(xs, pad: str):
-        # xs as str.format fills them in, or None if they differ in shape
-        types = set(map(type, xs))
-        if types == {int}:  # exact ints, as in encode
-            return xs
-        inner = pad + "  "
-        if types <= {list, tuple}:
-            n, *others = set(map(len, xs))
-            if others or not 0 < n <= chunk_size:
-                return None
-            template = "[" + inner + ("," + inner).join(["{}"] * n) + pad + "]"
-            rows = xs
-        elif types == {dict}:
-            keys, *others = set(map(tuple, xs))
-            if others or not 1 < len(keys) <= chunk_size or not all(type(k) is str for k in keys):
-                return None
-            keys = sorted(keys)
-            quoted = (quote(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-            template = "{{" + inner + ("," + inner).join(quoted) + pad + "}}"
-            rows = list(map(itemgetter(*keys), xs))
-        else:
-            return None
-        return list(starmap(template.format, zip(*[column(c, inner) for c in zip(*rows)])))
-
-    def streamed(x, top: bool) -> bool:
-        return isinstance(x, (list, tuple, dict)) and len(x) > (0 if top else chunk_size)
-
-    def pieces(x, pad: str, top: bool):
+    def pieces(x, pad: str):
+        # one(x, pad) in parts
         inner = pad + "  "
         sep = inner
-        if isinstance(x, dict):
-            items = [(quote(k) + ": ", v) for k, v in sorted(x.items())]
+        if x and isinstance(x, dict):
             yield "{"
-            for prefix, v in items:
-                yield from piece(sep + prefix, v, inner, top)
+            for k, v in sorted(x.items()):
+                yield sep + quote(k) + ": "
+                yield from pieces(v, inner)
                 sep = "," + inner
             yield pad + "}"
-            return
-        yield "["
-        items = iter(x)  # no copy of a long list
-        while chunk := list(islice(items, chunk_size)):
-            shaped = None if top else same_shaped(chunk, inner)
-            if shaped is not None:
-                yield sep + ("," + inner).join(map(str, shaped))
+        elif x and isinstance(x, (list, tuple)):
+            yield "["
+            items = iter(x)  # no copy of a long list
+            while chunk := list(islice(items, chunk_size)):
+                yield sep + ("," + inner).join(map(str, texts(chunk, inner)))
                 sep = "," + inner
-                continue
-            for v in chunk:
-                yield from piece(sep, v, inner, top)
-                sep = "," + inner
-        yield pad + "]"
-
-    def piece(lead: str, x, pad: str, top: bool):
-        # x after lead, where top says whether x's container is the payload
-        if streamed(x, top):
-            yield lead
-            yield from pieces(x, pad, False)
+            yield pad + "]"
         else:
-            yield lead + encode(x, pad)
+            yield one(x, pad)
 
-    if streamed(payload, True):
-        stream.writelines(pieces(payload, "\n", True))
-    else:
-        stream.write(encode(payload, "\n"))
+    stream.writelines(pieces(payload, "\n"))
     stream.write("\n")
 
 
@@ -267,8 +233,7 @@ def _load_complex(path: str, max_cells: int):
         return SimplicialComplex.from_json(data, max_cells)
     if isinstance(data, dict) and "elements" in data:
         poset = FacePoset.from_json(data)
-        if sum(poset.chain_counts()) > max_cells:
-            raise ResourceLimitError(max_cells, "chain")
+        poset.chain_counts(max_cells)  # ResourceLimitError past max_cells chains
         return order_complex(poset)
     raise ValueError(f"{path} holds neither a complex nor a poset")
 

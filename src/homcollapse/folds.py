@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .closure import CollapseSequence, collapse_sequence_from_closure
 from .graphs import FoldWitness, Graph, check_fold
-from .hom import HomComplex, ResourceLimitError, enumerate_hom_cells
+from .hom import HomComplex, enumerate_hom_cells
 from .posets import PosetMap
 
 
@@ -75,8 +75,7 @@ def first_arg_collapse(g: Graph, h: Graph, w: FoldWitness, max_cells: int = 1_00
     counted before any step is built: ResourceLimitError past either."""
     check_fold(g, w)
     hom = enumerate_hom_cells(g, h, max_cells)
-    if sum(hom.poset.chain_counts()) > max_cells:
-        raise ResourceLimitError(max_cells, "chain")
+    hom.poset.chain_counts(max_cells)  # ResourceLimitError past max_cells chains
     alpha, beta = alpha_beta_maps(hom, w)
     up = collapse_sequence_from_closure(alpha, "ascending")
     down = collapse_sequence_from_closure(beta, "descending")

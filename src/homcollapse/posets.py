@@ -2,8 +2,9 @@
 
 A FacePoset stores only its Hasse diagram, once per direction: the upper
 and lower covers of each element.  The full order is reachability,
-computed once on demand and cached.  Element ids are arbitrary integers and
-survive subposet extraction, so collapse plans can name cells stably.
+computed on demand once per direction (above or below) and cached.
+Element ids are arbitrary integers and survive subposet extraction, so
+collapse plans can name cells stably.
 """
 
 from __future__ import annotations
@@ -87,32 +88,28 @@ class FacePoset:
             raise ValueError("cover relation has a cycle")
         return tuple(order)
 
-    def _ensure_reachability(self):
-        if self._above is not None:
-            return
-        above: dict[int, frozenset[int]] = {}
-        below: dict[int, frozenset[int]] = {}
-        for x in reversed(self._topo):
+    @staticmethod
+    def _reach(step: Mapping[int, tuple[int, ...]], order: Iterable[int]) -> dict[int, frozenset[int]]:
+        """x: everything reached from x by one or more steps, for x in an
+        order that puts each x after all of step[x]."""
+        reach: dict[int, frozenset[int]] = {}
+        for x in order:
             acc: set[int] = set()
-            for y in self.upper[x]:
+            for y in step[x]:
                 acc.add(y)
-                acc |= above[y]
-            above[x] = frozenset(acc)
-        for x in self._topo:
-            acc = set()
-            for y in self.lower[x]:
-                acc.add(y)
-                acc |= below[y]
-            below[x] = frozenset(acc)
-        self._above, self._below = above, below
+                acc |= reach[y]
+            reach[x] = frozenset(acc)
+        return reach
 
     def above(self, x: int) -> frozenset[int]:
         """Elements strictly greater than x."""
-        self._ensure_reachability()
+        if self._above is None:
+            self._above = self._reach(self.upper, reversed(self._topo))
         return self._above[x]
 
     def below(self, x: int) -> frozenset[int]:
-        self._ensure_reachability()
+        if self._below is None:
+            self._below = self._reach(self.lower, self._topo)
         return self._below[x]
 
     def le(self, a: int, b: int) -> bool:
@@ -142,15 +139,19 @@ class FacePoset:
             grow((x,), x)
         return out
 
-    def chain_counts(self) -> tuple[int, ...]:
+    def chain_counts(self, max_chains=math.inf) -> tuple[int, ...]:
         """The order complex's f-vector, counted unbuilt: entry k counts the
         chains of k + 1 elements.  Those ending at x are x alone, or x atop
-        a chain one element shorter ending below x."""
+        a chain one element shorter ending below x.  ResourceLimitError as
+        soon as the running total passes max_chains, before the next
+        length is counted."""
         ends = dict.fromkeys(self.ids, 1)  # x: chains of len(counts) + 1 elements ending at x
         counts = []
         zeros = itertools.repeat(0)
         while ends:  # where no chain of k elements ends, no chain of k + 1 does
             counts.append(sum(ends.values()))
+            if sum(counts) > max_chains:
+                raise ResourceLimitError(max_chains, "chain")
             ends = {x: n for x in ends if (n := sum(map(ends.get, self.below(x), zeros)))}
         return tuple(counts)
 

@@ -314,6 +314,30 @@ def test_homology_complex_honours_the_budget(capsys, tmp_path, payload, budget, 
         assert got == 0 and "f-vector" in out
 
 
+def test_homology_complex_stops_counting_chains_past_the_budget(capsys, tmp_path, monkeypatch):
+    # a 400-element chain has 400, 79,800 and 10,586,800 chains of one, two
+    # and three elements: the count stops at the third length, not the 400th
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_poset(400)))
+    reads = []
+    below = FacePoset.below
+    monkeypatch.setattr(FacePoset, "below", lambda self, x: reads.append(x) or below(self, x))
+    code, out, err = run(capsys, ["homology", "--complex", str(path)])
+    assert code == 3 and not out and "the chain count exceeded the budget of 1000000" in err
+    # from_json reads below once per cover, and each length counted once per element
+    assert len(reads) <= 399 + 3 * 400
+
+
+def test_homology_complex_rejects_a_cyclic_poset(capsys, tmp_path):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "elements": [{"id": 0, "dim": 0}, {"id": 1, "dim": 0}],
+        "covers": [[0, 1], [1, 0]],
+    }))
+    code, out, err = run(capsys, ["homology", "--complex", str(path)])
+    assert code == 2 and not out and "cycle" in err
+
+
 def test_verify_first_argument_fold(graphs, capsys):
     code, out, err = run(
         capsys,
@@ -751,7 +775,7 @@ def test_dump_matches_json_dump_on_random_payloads():
     payloads += [7, "x", None, 1.5, True, [], {}, (), [[]], [{}], {"": []}]
     # int rows of mixed lengths, one holding a bool, at the top and below it
     payloads += [[[1, True], [2, 3, 4]], {"x": {"y": [[1, True], [2, 3, 4]]}}]
-    # containers of more than 1024 items below the top two levels are streamed too
+    # dicts and lists reached through dicts are streamed at any depth
     payloads.append({"plan": {
         "ints": list(range(1500)),
         "pairs": [[i, i % 2 == 0] for i in range(1100)],
@@ -760,8 +784,8 @@ def test_dump_matches_json_dump_on_random_payloads():
     }})
     for payload in payloads:
         assert dumped(payload) == oracle(payload), payload
-    # chunk boundaries at depth one (always streamed), depth two (streamed
-    # past 1024 items) and depth three inside a short list (never streamed)
+    # chunk boundaries at depths one and two (under dicts, so streamed) and
+    # at depth three inside a short list (written whole, as a list item)
     for size in (1, 1023, 1024, 1025, 3000):
         for xs in long_lists(rng, size):
             for payload in ({"x": xs}, {"x": {"y": xs}}, {"x": {"y": [xs]}}):
@@ -772,6 +796,34 @@ def test_dump_matches_json_dump_on_random_payloads():
         dumped({1: 2})
     with pytest.raises(TypeError):
         dumped({"x": [{"id": i, "dim": 0} for i in range(1499)] + [{"id": 1499, 0: 0}]})
+
+
+class RecordingStream:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+def test_dump_streams_long_lists_a_chunk_at_a_time():
+    # shaped like hom --out, with labels that share their vertex tuples
+    shared = (0, 1)
+    hom = {
+        "covers": [(i, i + 1) for i in range(3000)],
+        "elements": [{"dim": i % 3, "id": i, "label": (shared, (i % 5,))} for i in range(3000)],
+    }
+    for payload, indent in ((hom, 4), ({"hom": hom}, 6)):
+        stream = RecordingStream()
+        cli._dump(payload, stream)
+        assert "".join(stream.writes) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # a cover or an element opens a line at this indent with [ or {
+        starts = [w.count("\n" + " " * indent + "[") + w.count("\n" + " " * indent + "{") for w in stream.writes]
+        assert sum(starts) == 6000 and max(starts) <= 1024, indent
 
 
 def test_dump_matches_json_dump_on_every_command(graphs, capsys, monkeypatch, tmp_path):

@@ -70,6 +70,12 @@ def test_reachability_on_chain():
     assert p.le(2, 2)
 
 
+def test_reachability_is_built_one_direction_at_a_time():
+    p, q = chain_poset(4), chain_poset(4)
+    assert p.below(3) == {0, 1, 2} and vars(p)["_above"] is None
+    assert q.above(0) == {1, 2, 3} and vars(q)["_below"] is None
+
+
 def test_reachability_matches_brute_closure():
     rng = random.Random(11)
     for _ in range(40):
@@ -99,6 +105,14 @@ def test_chain_count_and_chains_within():
         within = {i for i in p.ids if rng.random() < 0.5} | {-1, len(p)}
         assert p.chains(within=within) == [c for c in p.chains() if set(c) <= within]
     assert chain_poset(20).chain_counts() == tuple(math.comb(20, k) for k in range(1, 21))
+
+
+def test_chain_counts_stop_at_the_budget():
+    # 3 + 3 + 1 chains on a 3-element chain
+    assert chain_poset(3).chain_counts(max_chains=7) == (3, 3, 1)
+    for p in (chain_poset(3), chain_poset(200)):  # 2**200 - 1 chains are never counted in full
+        with pytest.raises(ResourceLimitError, match="chain count exceeded the budget of 6"):
+            p.chain_counts(max_chains=6)
 
 
 def test_from_facets_stops_at_the_budget():
