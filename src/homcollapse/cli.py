@@ -59,12 +59,14 @@ def _dump(payload, stream) -> None:
     length, such as covers) and records (dicts with one tuple of str keys,
     such as poset elements) fill one str.format template column by column;
     any other column is encoded once per distinct object, since hom labels
-    share their vertex tuples.  one encodes a single value.  pieces streams
-    every dict and list reached from the payload through dicts, a dict key
-    by key and a list 1024 items at a time, so the whole text is never held
-    at once.  Dict keys must be strs; any other key raises TypeError.  The
-    helpers are nested because perfbench's tracer wraps every function of
-    this module, and a span per call would measure the tracer.
+    share their vertex tuples, and rows of several lengths (side-first
+    chains) as one column per length.  one encodes a single value.  pieces
+    streams every dict and list reached from the payload through dicts, a
+    dict key by key and a list 1024 items at a time, so the whole text is
+    never held at once.  Dict keys must be strs; any other key raises
+    TypeError.  The helpers are nested because perfbench's tracer wraps
+    every function of this module, and a span per call would measure the
+    tracer.
     """
     chunk_size = 1024
     quote = json.encoder.encode_basestring_ascii
@@ -76,9 +78,10 @@ def _dump(payload, stream) -> None:
             return xs
         inner = pad + "  "
         rows = None
+        lengths = ()
         if types <= {list, tuple}:
-            n, *others = set(map(len, xs))
-            if not others and 0 < n <= chunk_size:
+            n, *lengths = set(map(len, xs))
+            if not lengths and 0 < n <= chunk_size:
                 template = "[" + inner + ("," + inner).join(["{}"] * n) + pad + "]"
                 rows = xs
         elif types == {dict}:
@@ -91,7 +94,16 @@ def _dump(payload, stream) -> None:
         if rows is not None:
             return list(starmap(template.format, zip(*[texts(c, inner) for c in zip(*rows)])))
         ids = list(map(id, xs))
-        text = {i: one(x, pad) for i, x in dict(zip(ids, xs)).items()}
+        distinct = dict(zip(ids, xs))
+        if lengths:  # rows of several lengths, such as side-first chains: each length as a column
+            groups: dict[int, dict] = {}
+            for i, x in distinct.items():
+                groups.setdefault(len(x), {})[i] = x
+            text = {}
+            for group in groups.values():
+                text.update(zip(group, texts(list(group.values()), pad)))
+        else:
+            text = {i: one(x, pad) for i, x in distinct.items()}
         return list(map(text.__getitem__, ids))
 
     def one(x, pad: str) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .closure import CollapseSequence, collapse_sequence_from_closure
 from .graphs import FoldWitness, Graph, check_fold
-from .hom import HomComplex, enumerate_hom_cells
+from .hom import HomComplex, cell_dim, enumerate_hom_cells
 from .posets import PosetMap
 
 
@@ -133,7 +133,7 @@ def second_arg_collapse(
         mate_id = hom.cell_index.get(mate)
         if mate_id is None:
             raise AssertionError("inserting the dominating vertex left the complex")
-        pairs.append((pos, -hom.poset.dim_of[cid], cid, mate_id))
+        pairs.append((pos, -cell_dim(cell), cid, mate_id))
     if len(retained) + 2 * len(pairs) != len(hom.cells):
         raise AssertionError("fold pairing failed to partition the cells")
     pairs.sort()

@@ -9,6 +9,7 @@ is pointwise containment, and covers add exactly one vertex to one set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import Graph, GraphHom, bits, is_homomorphism, mask_of
 from .posets import FacePoset, PosetMap, ResourceLimitError
@@ -36,18 +37,49 @@ class HomComplex:
     domain: Graph
     codomain: Graph
     cells: tuple[Cell, ...]
-    poset: FacePoset
     cell_index: dict[Cell, int] = field(compare=False)
 
     def __len__(self):
         return len(self.cells)
+
+    @cached_property
+    def poset(self) -> FacePoset:
+        """The face poset of the cells, built on first read.
+
+        Id k is cells[k], labelled by its vertex sets, and each cover adds
+        one vertex to one set.  Each cell's faces are looked up once, as its
+        sorted lower covers; each upper cover list is filled in id order, so
+        it comes out sorted and free of repeats.
+        """
+        cells, index = self.cells, self.cell_index
+        ids = tuple(index.values())  # 0, 1, ...: the index's int objects, shared below
+        # the vertex set of each mask that occurs, built once and shared by every label
+        vertex_set = {m: tuple(bits(m)) for m in {m for c in cells for m in c}}
+        n = self.domain.n
+        upper: dict = {cid: [] for cid in ids}
+        lower, dims, labels = {}, {}, {}
+        for cid, cell in zip(ids, cells):
+            labels[cid] = sets = tuple(map(vertex_set.__getitem__, cell))
+            dims[cid] = sum(map(len, sets)) - n
+            faces = sorted(
+                index[cell[:x] + (m ^ (1 << a),) + cell[x + 1 :]]
+                for x, m in enumerate(cell)
+                if m & (m - 1)  # a single vertex has no face
+                for a in sets[x]
+            )
+            lower[cid] = tuple(faces)
+            for f in faces:
+                upper[f].append(cid)
+        for f, ys in upper.items():  # in place, so no second copy of every list is held
+            upper[f] = tuple(ys)
+        return FacePoset._from_hasse(ids, upper, lower, dims, labels)
 
     def to_json(self) -> dict:
         return self.poset.to_json()
 
 
 def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomComplex:
-    """Build the full cell poset of multihomomorphisms g -> h.
+    """Enumerate the cells of multihomomorphisms g -> h, in label order.
 
     Vertices of g are assigned in index order; at each step the candidate
     set is the common neighborhood of everything already chosen across
@@ -86,28 +118,21 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
             stack.append(choices(len(stack)))
         else:
             stack.pop()
-    # the vertex set of each mask that occurs, built once and shared by every label
-    vertex_set = {m: tuple(bits(m)) for m in {m for c in cells for m in c}}
-    # labels are unique, so they alone order the cells; rebinding frees the pairs
-    cells = sorted((tuple(map(vertex_set.__getitem__, c)), c) for c in cells)
-    labels = dict(enumerate(sets for sets, _ in cells))
-    cells = [c for _, c in cells]
-    index = {c: k for k, c in enumerate(cells)}
-    # a generator, so the poset's upper and lower covers are the only copies
-    covers = (
-        (index[cell[:x] + (m ^ (1 << a),) + cell[x + 1 :]], cid)
-        for cid, cell in enumerate(cells)
-        for x, m in enumerate(cell)
-        if m & (m - 1)  # a single vertex has no face
-        for a in vertex_set[m]
-    )
-    poset = FacePoset(
-        range(len(cells)),
-        covers,
-        {k: sum(map(len, sets)) - g.n for k, sets in labels.items()},
-        labels,
-    )
-    return HomComplex(g, h, tuple(cells), poset, index)
+    # cells in the lexicographic order of their vertex-set labels: rank the
+    # distinct masks by their vertex tuples, then read a cell's ranks as the
+    # digits of one mixed-radix number
+    masks = sorted({m for c in cells for m in c}, key=lambda m: tuple(bits(m)))
+    rank = {m: r for r, m in enumerate(masks)}
+    radix = len(masks)
+
+    def key(cell: Cell) -> int:
+        k = 0
+        for m in cell:
+            k = k * radix + rank[m]
+        return k
+
+    cells.sort(key=key)
+    return HomComplex(g, h, tuple(cells), {c: k for k, c in enumerate(cells)})
 
 
 def induced_covariant(f: GraphHom, source: HomComplex, target: HomComplex) -> PosetMap:

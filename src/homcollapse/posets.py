@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 Simplex = tuple[int, ...]
@@ -33,13 +34,11 @@ class FacePoset:
         dims: Mapping[int, int] | None = None,
         labels: Mapping[int, Any] | None = None,
     ):
-        self.ids: tuple[int, ...] = tuple(elements)
-        self.dim_of = dict(dims) if dims is not None else {}
-        self.label_of = dict(labels) if labels is not None else {}
-        up: dict[int, list[int]] = {i: [] for i in self.ids}
-        if len(up) != len(self.ids):
+        ids = tuple(elements)
+        up: dict[int, Any] = {i: [] for i in ids}
+        if len(up) != len(ids):
             raise ValueError("duplicate element ids")
-        down: dict[int, list[int]] = {i: [] for i in self.ids}
+        down: dict[int, Any] = {i: [] for i in ids}
         for lo, hi in covers:
             if lo not in up or hi not in up:
                 raise ValueError(f"cover ({lo}, {hi}) references an unknown element")
@@ -47,10 +46,26 @@ class FacePoset:
                 raise ValueError(f"cover ({lo}, {hi}) relates an element to itself")
             up[lo].append(hi)
             down[hi].append(lo)
-        # a repeated cover counts once
-        self.upper = {i: tuple(sorted(set(ys))) for i, ys in up.items()}
-        self.lower = {i: tuple(sorted(set(ys))) for i, ys in down.items()}
-        self._topo = self._toposort()
+        for i in ids:  # a repeated cover counts once
+            up[i] = tuple(sorted(set(up[i])))
+            down[i] = tuple(sorted(set(down[i])))
+        self._set_hasse(ids, up, down, dict(dims or {}), dict(labels or {}))
+        self._topo  # a cycle raises here
+
+    @classmethod
+    def _from_hasse(cls, ids, upper, lower, dims, labels) -> "FacePoset":
+        """The poset whose upper and lower covers of each id are the sorted,
+        duplicate-free tuples given, taken as they are and unchecked."""
+        p = cls.__new__(cls)
+        p._set_hasse(ids, upper, lower, dims, labels)
+        return p
+
+    def _set_hasse(self, ids, upper, lower, dims, labels) -> None:
+        self.ids: tuple[int, ...] = ids
+        self.upper: dict[int, tuple[int, ...]] = upper
+        self.lower: dict[int, tuple[int, ...]] = lower
+        self.dim_of: dict[int, int] = dims
+        self.label_of: dict[int, Any] = labels
         self._above: dict[int, frozenset[int]] | None = None
         self._below: dict[int, frozenset[int]] | None = None
 
@@ -73,7 +88,9 @@ class FacePoset:
     def __contains__(self, x):
         return x in self.upper
 
-    def _toposort(self) -> tuple[int, ...]:
+    @cached_property
+    def _topo(self) -> tuple[int, ...]:
+        """A linear extension, built on first use; ValueError on a cycle."""
         indeg = {i: len(self.lower[i]) for i in self.ids}
         frontier = sorted(i for i in self.ids if indeg[i] == 0)
         order = []
@@ -195,10 +212,10 @@ class FacePoset:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed poset JSON: {exc}") from None
         p = cls(elements, covers, dims, labels)
-        for a, b in p.covers:  # a cover must have nothing between
-            between = p.above(a) & p.below(b)
-            if between:
-                raise ValueError(f"cover ({a}, {b}) is transitive: {min(between)} lies between")
+        for a, b in p.covers:  # nothing lies between; read downward only, as chain_counts reads
+            if any(a in p.below(c) for c in p.lower[b]):
+                between = min(c for c in p.below(b) if a in p.below(c))
+                raise ValueError(f"cover ({a}, {b}) is transitive: {between} lies between")
         return p
 
 

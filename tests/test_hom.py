@@ -1,11 +1,11 @@
 import itertools
 import random
-import types
 
 import pytest
 
 from homcollapse import (
     FacePoset,
+    FoldWitness,
     Graph,
     GraphHom,
     ResourceLimitError,
@@ -15,8 +15,8 @@ from homcollapse import (
     induced_contravariant,
     induced_covariant,
     is_homomorphism,
+    second_arg_collapse,
 )
-from homcollapse import hom as hom_module
 from helpers import (
     as_read,
     brute_hom_cells,
@@ -145,18 +145,63 @@ def test_covers_match_containment_oracle():
         assert set(hom.poset.covers) == expected
 
 
-def test_covers_are_streamed_into_the_poset(monkeypatch):
-    # the enumerator builds no list of cover pairs, and the poset stores none
-    given = []
+def test_enumeration_builds_no_poset(monkeypatch):
+    made = []
+    init, from_hasse = FacePoset.__init__, FacePoset._from_hasse.__func__
 
-    def spy(ids, covers, *rest):
-        given.append(covers)
-        return FacePoset(ids, covers, *rest)
+    def counting_init(self, *args):
+        made.append("__init__")
+        init(self, *args)
 
-    monkeypatch.setattr(hom_module, "FacePoset", spy)
+    def counting_from_hasse(cls, *args):
+        made.append("_from_hasse")
+        return from_hasse(cls, *args)
+
+    monkeypatch.setattr(FacePoset, "__init__", counting_init)
+    monkeypatch.setattr(FacePoset, "_from_hasse", classmethod(counting_from_hasse))
     hom = enumerate_hom_cells(path_graph(3), complete(3))
-    assert len(given) == 1 and isinstance(given[0], types.GeneratorType)
-    assert "covers" not in vars(hom.poset) and len(hom.poset.covers) == 42
+    assert made == [] and "poset" not in vars(hom)
+    p = hom.poset
+    assert made == ["_from_hasse"] and hom.poset is p and vars(hom)["poset"] is p
+
+
+def test_side_second_plan_builds_no_poset():
+    plan = second_arg_collapse(complete(2), path_graph(3), FoldWitness(0, 2))
+    assert len(plan.sequence) > 0 and "poset" not in vars(plan.hom)
+
+
+def test_poset_stores_no_list_of_cover_pairs():
+    hom = enumerate_hom_cells(path_graph(3), complete(3))
+    p = hom.poset
+    assert len(p.covers) == 42 and "covers" not in vars(p)
+    for value in (*vars(hom).values(), *vars(p).values()):
+        pairs = isinstance(value, (list, tuple)) and value and all(
+            isinstance(c, tuple) and len(c) == 2 and all(type(x) is int for x in c) for c in value)
+        assert not pairs
+    assert all(type(ys) is tuple for ys in (*p.upper.values(), *p.lower.values()))
+
+
+def test_lazy_poset_matches_the_validating_constructor():
+    # the poset built from the sorted cells equals FacePoset given brute-force covers
+    rng = random.Random(53)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 3), rng.random(), loops=True)
+        h = random_graph(rng, rng.randint(1, 4), rng.random(), loops=True)
+        hom = enumerate_hom_cells(g, h)
+        labels = [cell_vertex_sets(c) for c in hom.cells]
+        assert labels == sorted(labels)
+        covers = [
+            (i, j)
+            for i, a in enumerate(hom.cells)
+            for j, b in enumerate(hom.cells)
+            if all(x & y == x for x, y in zip(a, b)) and cell_dim(b) == cell_dim(a) + 1
+        ]
+        ids = range(len(hom.cells))
+        ref = FacePoset(ids, covers, {k: cell_dim(c) for k, c in enumerate(hom.cells)}, dict(enumerate(labels)))
+        p = hom.poset
+        assert p.ids == ref.ids
+        assert p.upper == ref.upper and p.lower == ref.lower
+        assert p.dim_of == ref.dim_of and p.label_of == ref.label_of
 
 
 def test_max_cells_budget():

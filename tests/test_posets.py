@@ -220,6 +220,34 @@ def test_poset_json_rejects_transitive_cover():
         FacePoset.from_json(data)
 
 
+def test_poset_json_names_the_first_transitive_cover():
+    # the message names the first transitive cover in covers order, and the
+    # least element between its ends
+    rng = random.Random(43)
+    tried = 0
+    for _ in range(60):
+        p = random_poset(rng, 8)
+        extra = sorted((a, b) for a in p.ids for b in p.above(a) if b not in p.upper[a])
+        if not extra:
+            continue
+        tried += 1
+        data = as_read(p.to_json())
+        data["covers"] += [list(c) for c in rng.sample(extra, min(2, len(extra)))]
+        q = FacePoset(p.ids, map(tuple, data["covers"]))
+        a, b = next((a, b) for a, b in q.covers if q.above(a) & q.below(b))
+        message = f"cover ({a}, {b}) is transitive: {min(q.above(a) & q.below(b))} lies between"
+        with pytest.raises(ValueError) as caught:
+            FacePoset.from_json(data)
+        assert str(caught.value) == message
+    assert tried >= 20
+
+
+def test_poset_json_reads_reachability_downward_only():
+    p = FacePoset.from_json(as_read(chain_poset(30).to_json()))
+    assert p.chain_counts()[:2] == (30, 435)
+    assert vars(p)["_above"] is None
+
+
 def test_complex_json_round_trip():
     x = SimplicialComplex.from_facets([(0, 1, 2), (2, 3)])
     data = as_read(x.to_json())
