@@ -16,6 +16,7 @@ from typing import Mapping
 
 from .posets import (
     FacePoset,
+    PosetCycleError,
     PosetMap,
     Simplex,
     face_poset,
@@ -140,13 +141,13 @@ def morse_matching_from_closure(phi: PosetMap) -> Matching:
         raise ClosureError(report)
     bd = face_poset(order_complex(phi.source))
     image = set(phi.map.values())
-    rank = phi.source.linear_extension_rank()
+    below = phi.source.below  # along a chain, each entry has more elements below it than the last
     chain_id = {bd.label_of[i]: i for i in bd.ids}
     pairs = set()
     paired = set()
     critical = set()
     for cid in bd.ids:
-        chain = sorted(bd.label_of[cid], key=rank.__getitem__)
+        chain = sorted(bd.label_of[cid], key=lambda x: len(below(x)))
         idx = next((k for k, x in enumerate(chain) if x not in image), None)
         if idx is None:
             critical.add(cid)
@@ -171,54 +172,26 @@ def morse_matching_from_closure(phi: PosetMap) -> Matching:
 
 def verify_acyclic_matching(m: Matching) -> tuple[bool, list[int] | None]:
     """Check m.pairs are disjoint covers of m.poset and that reversing matched
-    covers leaves the Hasse digraph acyclic.  Returns (True, None) or
-    (False, certificate cycle as a list of cell ids)."""
+    covers leaves the Hasse digraph acyclic, that is, the cover relation of
+    a poset.  Returns (True, None) or (False, certificate cycle as a list of
+    cell ids, each with an edge to the next and the last to the first)."""
     p = m.poset
-    covers = p.covers
-    coverset = set(covers)
     used: set[int] = set()
     for a, b in m.pairs:
-        if (a, b) not in coverset:
+        if a not in p or b not in p.upper[a]:
             raise ValueError(f"matched pair ({a}, {b}) is not a cover of the poset")
         if a in used or b in used:
             raise ValueError(f"cell reused by pair ({a}, {b}): not a matching")
         used.update((a, b))
-    succ: dict[int, list[int]] = {i: [] for i in p.ids}
-    pairset = set(m.pairs)
-    for a, b in covers:
-        if (a, b) in pairset:
-            succ[a].append(b)  # matched covers point up
-        else:
-            succ[b].append(a)  # unmatched covers point down
-    color = {i: 0 for i in p.ids}  # 0 fresh, 1 on stack, 2 done
-    parent: dict[int, int] = {}
-    for root in p.ids:
-        if color[root]:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                color[node] = 2
-                stack.pop()
-                continue
-            if color[nxt] == 0:
-                color[nxt] = 1
-                parent[nxt] = node
-                stack.append((nxt, iter(succ[nxt])))
-            elif color[nxt] == 1:
-                cycle = [node]
-                while cycle[-1] != nxt:
-                    cycle.append(parent[cycle[-1]])
-                cycle.reverse()
-                return False, cycle
-        # color 2 neighbors are settled
+    # matched covers point up, unmatched ones down
+    flipped = ((a, b) if (a, b) in m.pairs else (b, a) for a, bs in p.upper.items() for b in bs)
+    try:
+        FacePoset(p.ids, flipped)
+    except PosetCycleError as exc:
+        return False, exc.cycle
     return True, None
 
 
-# random_poset closes an n x n relation in O(n^3)
 MAX_RANDOM_ELEMENTS = 64
 
 
@@ -228,24 +201,8 @@ def random_poset(rng, max_elements: int = 10) -> FacePoset:
         raise ValueError(f"max_elements must be from 1 to {MAX_RANDOM_ELEMENTS}, not {max_elements}")
     n = rng.randint(1, max_elements)
     p = rng.uniform(0.15, 0.55)
-    lt = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                lt[i][j] = True
-    for k in range(n):  # transitive closure, tiny n
-        for i in range(n):
-            if lt[i][k]:
-                for j in range(n):
-                    if lt[k][j]:
-                        lt[i][j] = True
-    covers = (
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
-    )
-    return FacePoset(range(n), covers)
+    relation = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return FacePoset(range(n), relation).restrict(range(n))  # restrict keeps only the covers
 
 
 _CLOSURE_TRIES = 60

@@ -26,6 +26,15 @@ class ResourceLimitError(RuntimeError):
         self.limit = limit
 
 
+class PosetCycleError(ValueError):
+    """A cover relation has a cycle; .cycle lists one so that each element
+    is covered by the next, and the last by the first."""
+
+    def __init__(self, cycle: list[int]):
+        super().__init__(f"cover relation has a cycle: {' < '.join(map(str, cycle + cycle[:1]))}")
+        self.cycle = cycle
+
+
 class FacePoset:
     def __init__(
         self,
@@ -66,8 +75,6 @@ class FacePoset:
         self.lower: dict[int, tuple[int, ...]] = lower
         self.dim_of: dict[int, int] = dims
         self.label_of: dict[int, Any] = labels
-        self._above: dict[int, frozenset[int]] | None = None
-        self._below: dict[int, frozenset[int]] | None = None
 
     def __len__(self):
         return len(self.ids)
@@ -90,7 +97,7 @@ class FacePoset:
 
     @cached_property
     def _topo(self) -> tuple[int, ...]:
-        """A linear extension, built on first use; ValueError on a cycle."""
+        """A linear extension, built on first use; PosetCycleError on a cycle."""
         indeg = {i: len(self.lower[i]) for i in self.ids}
         frontier = sorted(i for i in self.ids if indeg[i] == 0)
         order = []
@@ -102,7 +109,14 @@ class FacePoset:
                 if indeg[y] == 0:
                     frontier.append(y)
         if len(order) != len(self.ids):
-            raise ValueError("cover relation has a cycle")
+            # each element left has a lower cover left: walk down, smallest first, to a repeat
+            left = {i for i, n in indeg.items() if n}
+            walk: dict[int, int] = {}  # element: its place in the walk
+            x = min(left)
+            while x not in walk:
+                walk[x] = len(walk)
+                x = next(y for y in self.lower[x] if y in left)
+            raise PosetCycleError(list(walk)[walk[x] :][::-1])
         return tuple(order)
 
     @staticmethod
@@ -118,22 +132,23 @@ class FacePoset:
             reach[x] = frozenset(acc)
         return reach
 
+    @cached_property
+    def _above(self) -> dict[int, frozenset[int]]:
+        return self._reach(self.upper, reversed(self._topo))
+
+    @cached_property
+    def _below(self) -> dict[int, frozenset[int]]:
+        return self._reach(self.lower, self._topo)
+
     def above(self, x: int) -> frozenset[int]:
         """Elements strictly greater than x."""
-        if self._above is None:
-            self._above = self._reach(self.upper, reversed(self._topo))
         return self._above[x]
 
     def below(self, x: int) -> frozenset[int]:
-        if self._below is None:
-            self._below = self._reach(self.lower, self._topo)
         return self._below[x]
 
     def le(self, a: int, b: int) -> bool:
         return a == b or b in self.above(a)
-
-    def linear_extension_rank(self) -> dict[int, int]:
-        return {x: k for k, x in enumerate(self._topo)}
 
     def chains(self, within: Iterable[int] | None = None) -> list[Simplex]:
         """All nonempty chains as id-sorted tuples.

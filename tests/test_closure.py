@@ -21,7 +21,7 @@ from homcollapse import (
     verify_closure_operator,
 )
 from homcollapse.closure import MAX_RANDOM_ELEMENTS
-from helpers import as_read, disconnected_graph_fixture
+from helpers import as_read, brute_le, disconnected_graph_fixture
 
 
 def chain_poset(n):
@@ -69,12 +69,21 @@ def test_identity_closure_collapses_nothing():
 
 
 def test_random_poset_size_is_bounded():
-    # the relation is n x n and closed in O(n^3), so n has a ceiling
+    # one bit is drawn per pair of the n elements, so n has a ceiling
     rng = random.Random(3)
     assert 1 <= len(random_poset(rng, MAX_RANDOM_ELEMENTS)) <= MAX_RANDOM_ELEMENTS
     for bad in (0, MAX_RANDOM_ELEMENTS + 1):
         with pytest.raises(ValueError, match="max_elements"):
             random_poset(rng, bad)
+
+
+def test_random_poset_covers_are_its_hasse_diagram():
+    rng = random.Random(29)
+    for k in range(40):
+        p = random_poset(rng, (5, 10, 20, MAX_RANDOM_ELEMENTS)[k % 4])
+        lt = brute_le(p)
+        hasse = {(a, b) for a, b in lt if not any((a, c) in lt and (c, b) in lt for c in p.ids)}
+        assert set(p.covers) == hasse
 
 
 def test_ascending_is_descending_on_dual():
@@ -198,6 +207,8 @@ def test_verify_acyclic_matching_finds_cycle():
     assert cert and len(cert) == 6
     # certificate is a genuine closed walk in the reversed Hasse digraph
     assert len(set(cert)) == len(cert)
+    edges = {(a, b) if (a, b) in pairs else (b, a) for a, b in p.covers}
+    assert all(step in edges for step in zip(cert, cert[1:] + cert[:1]))
 
 
 def test_matching_agrees_with_collapse_removals():

@@ -8,6 +8,7 @@ import pytest
 from homcollapse import (
     CollapseSequence,
     FacePoset,
+    PosetCycleError,
     PosetMap,
     ResourceLimitError,
     SimplicialComplex,
@@ -38,6 +39,23 @@ def test_poset_rejects_cycles_and_bad_covers():
         FacePoset([0, 0], [])
     with pytest.raises(ValueError):
         FacePoset([0], [(0, 0)])
+
+
+def test_cycle_error_names_a_cycle_of_the_given_covers():
+    rng = random.Random(37)
+    lengths = []
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        relation = {(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.12}
+        try:
+            FacePoset(range(n), relation)
+        except PosetCycleError as exc:
+            cycle = exc.cycle
+            assert len(set(cycle)) == len(cycle) >= 2
+            assert all(step in relation for step in zip(cycle, cycle[1:] + cycle[:1]))
+            assert str(exc) == "cover relation has a cycle: " + " < ".join(map(str, cycle + cycle[:1]))
+            lengths.append(len(cycle))
+    assert len(lengths) >= 50 and max(lengths) > 2
 
 
 def test_covers_given_shuffled_and_repeated_build_the_same_poset():
@@ -72,8 +90,8 @@ def test_reachability_on_chain():
 
 def test_reachability_is_built_one_direction_at_a_time():
     p, q = chain_poset(4), chain_poset(4)
-    assert p.below(3) == {0, 1, 2} and vars(p)["_above"] is None
-    assert q.above(0) == {1, 2, 3} and vars(q)["_below"] is None
+    assert p.below(3) == {0, 1, 2} and "_above" not in vars(p)
+    assert q.above(0) == {1, 2, 3} and "_below" not in vars(q)
 
 
 def test_reachability_matches_brute_closure():
@@ -245,7 +263,7 @@ def test_poset_json_names_the_first_transitive_cover():
 def test_poset_json_reads_reachability_downward_only():
     p = FacePoset.from_json(as_read(chain_poset(30).to_json()))
     assert p.chain_counts()[:2] == (30, 435)
-    assert vars(p)["_above"] is None
+    assert "_above" not in vars(p)
 
 
 def test_complex_json_round_trip():
