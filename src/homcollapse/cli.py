@@ -17,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Iterator
 from itertools import islice, starmap
 from operator import itemgetter
 from pathlib import Path
@@ -63,10 +64,13 @@ def _dump(payload, stream) -> None:
     chains) as one column per length.  one encodes a single value.  pieces
     streams every dict and list reached from the payload through dicts, a
     dict key by key and a list 1024 items at a time, so the whole text is
-    never held at once.  Dict keys must be strs; any other key raises
-    TypeError.  The helpers are nested because perfbench's tracer wraps
-    every function of this module, and a span per call would measure the
-    tracer.
+    never held at once.  An iterator reached from the payload through dicts,
+    such as the generators of elements, covers and steps in hom and
+    collapse payloads, is written as the list it yields, and only one
+    chunk of its items is held at a time.  Dict keys must be strs; any
+    other key raises TypeError.  The helpers are nested because perfbench's
+    tracer wraps every function of this module, and a span per call would
+    measure the tracer.
     """
     chunk_size = 1024
     quote = json.encoder.encode_basestring_ascii
@@ -130,13 +134,13 @@ def _dump(payload, stream) -> None:
                 yield from pieces(v, inner)
                 sep = "," + inner
             yield pad + "}"
-        elif x and isinstance(x, (list, tuple)):
-            yield "["
+        elif isinstance(x, (list, tuple, Iterator)):
             items = iter(x)  # no copy of a long list
+            head = "["
             while chunk := list(islice(items, chunk_size)):
-                yield sep + ("," + inner).join(map(str, texts(chunk, inner)))
-                sep = "," + inner
-            yield pad + "]"
+                yield head + sep + ("," + inner).join(map(str, texts(chunk, inner)))
+                head, sep, chunk = "", "," + inner, None  # one chunk held at a time
+            yield "[]" if head else pad + "]"
         else:
             yield one(x, pad)
 
@@ -187,8 +191,7 @@ def cmd_hom(args) -> int:
     g = _read_graph(args.domain)
     h = _read_graph(args.codomain)
     hom = enumerate_hom_cells(g, h, args.max_cells)
-    fv = hom.poset.f_vector()
-    _summary(args, f"cells: {len(hom)}  f-vector: {list(fv)}")
+    _summary(args, f"cells: {len(hom)}  f-vector: {list(hom.f_vector())}")
     _emit(args, hom.to_json())
     return EXIT_OK
 

@@ -54,7 +54,8 @@ class CollapseSequence:
         return len(self.steps)
 
     def to_json(self) -> dict:
-        return {"mode": self.mode, "steps": [{"free": a, "coface": b} for a, b in self.steps]}
+        """The mode and a generator of step records, read once as written."""
+        return {"mode": self.mode, "steps": ({"free": a, "coface": b} for a, b in self.steps)}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CollapseSequence":

@@ -8,6 +8,7 @@ is pointwise containment, and covers add exactly one vertex to one set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,40 +43,82 @@ class HomComplex:
     def __len__(self):
         return len(self.cells)
 
+    def f_vector(self) -> tuple[int, ...]:
+        """Cell counts by dimension, as poset.f_vector() reads them, with no poset built."""
+        counts = Counter(map(cell_dim, self.cells))
+        return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
+
+    def _labels(self):
+        """Each cell's vertex sets, in id order; labels share one tuple per distinct set."""
+        vertex_set = {m: tuple(bits(m)) for m in {m for c in self.cells for m in c}}
+        for cell in self.cells:
+            yield tuple(map(vertex_set.__getitem__, cell))
+
+    def upper_covers(self):
+        """For each cell in id order, the sorted ids of its upper covers: the
+        cells that add one vertex to one set.
+
+        At position x the vertices that can be added are those adjacent to
+        every vertex in the sets of x's other neighbours; at a looped x they
+        must also be looped and adjacent to all of x's own set, as
+        enumerate_hom_cells requires, so every cover is a cell.
+        """
+        g, h, index = self.domain, self.codomain, self.cell_index
+        full = (1 << h.n) - 1
+        looped = mask_of(a for a in range(h.n) if h.adj[a] >> a & 1)
+        others = [[y for y in bits(g.adj[x]) if y != x] for x in range(g.n)]
+        loops = [bool(g.adj[x] >> x & 1) for x in range(g.n)]
+        common = {m: _common_neighbors(h, m) for m in {m for c in self.cells for m in c}}
+        for cell in self.cells:
+            cns = tuple(map(common.__getitem__, cell))
+            ups = []
+            for x, m in enumerate(cell):
+                free = full & ~m
+                for y in others[x]:
+                    free &= cns[y]
+                if loops[x]:
+                    free &= cns[x] & looped
+                if free:
+                    head, tail = cell[:x], cell[x + 1 :]
+                    while free:
+                        low = free & -free
+                        ups.append(index[head + (m | low,) + tail])
+                        free ^= low
+            ups.sort()
+            yield tuple(ups)
+
     @cached_property
     def poset(self) -> FacePoset:
         """The face poset of the cells, built on first read.
 
-        Id k is cells[k], labelled by its vertex sets, and each cover adds
-        one vertex to one set.  Each cell's faces are looked up once, as its
-        sorted lower covers; each upper cover list is filled in id order, so
-        it comes out sorted and free of repeats.
+        Id k is cells[k], labelled by its vertex sets.  Its upper covers are
+        upper_covers() as yielded; each lower cover list is filled in id
+        order, so it comes out sorted and free of repeats.
         """
-        cells, index = self.cells, self.cell_index
-        ids = tuple(index.values())  # 0, 1, ...: the index's int objects, shared below
-        # the vertex set of each mask that occurs, built once and shared by every label
-        vertex_set = {m: tuple(bits(m)) for m in {m for c in cells for m in c}}
+        ids = tuple(self.cell_index.values())  # 0, 1, ...: the index's int objects, shared below
+        upper = dict(zip(ids, self.upper_covers()))
+        lower: dict = {cid: [] for cid in ids}
+        for a, bs in upper.items():
+            for b in bs:
+                lower[b].append(a)
+        for b, xs in lower.items():  # in place, so no second copy of every list is held
+            lower[b] = tuple(xs)
+        labels = dict(zip(ids, self._labels()))
         n = self.domain.n
-        upper: dict = {cid: [] for cid in ids}
-        lower, dims, labels = {}, {}, {}
-        for cid, cell in zip(ids, cells):
-            labels[cid] = sets = tuple(map(vertex_set.__getitem__, cell))
-            dims[cid] = sum(map(len, sets)) - n
-            faces = sorted(
-                index[cell[:x] + (m ^ (1 << a),) + cell[x + 1 :]]
-                for x, m in enumerate(cell)
-                if m & (m - 1)  # a single vertex has no face
-                for a in sets[x]
-            )
-            lower[cid] = tuple(faces)
-            for f in faces:
-                upper[f].append(cid)
-        for f, ys in upper.items():  # in place, so no second copy of every list is held
-            upper[f] = tuple(ys)
+        dims = {cid: sum(map(len, sets)) - n for cid, sets in labels.items()}
         return FacePoset._from_hasse(ids, upper, lower, dims, labels)
 
     def to_json(self) -> dict:
-        return self.poset.to_json()
+        """poset.to_json() with no poset built: its element records and its
+        covers (a, b), a in id order, are generators, read once as written."""
+        n = self.domain.n
+        return {
+            "elements": (
+                {"id": cid, "dim": sum(map(len, sets)) - n, "label": sets}
+                for cid, sets in enumerate(self._labels())
+            ),
+            "covers": ((a, b) for a, bs in enumerate(self.upper_covers()) for b in bs),
+        }
 
 
 def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomComplex:

@@ -13,8 +13,9 @@ from homcollapse import FacePoset, Graph, PosetMap
 
 
 def as_read(value):
-    """value as a reader gets it back from a JSON file: tuples come back as lists."""
-    return json.loads(json.dumps(value))
+    """value as a reader gets it back from a JSON file: tuples and the items
+    of generators come back as lists."""
+    return json.loads(json.dumps(value, default=list))
 
 
 def complete(n):

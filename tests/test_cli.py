@@ -715,9 +715,9 @@ def dumped(payload) -> str:
     return out.getvalue()
 
 
-def oracle(payload) -> str:
+def oracle(payload, default=None) -> str:
     out = io.StringIO()
-    json.dump(payload, out, indent=2, sort_keys=True)
+    json.dump(payload, out, indent=2, sort_keys=True, default=default)
     return out.getvalue() + "\n"
 
 
@@ -826,6 +826,26 @@ def test_dump_streams_long_lists_a_chunk_at_a_time():
         assert sum(starts) == 6000 and max(starts) <= 1024, indent
 
 
+def test_dump_writes_a_generator_as_the_list_it_yields():
+    shared = (0, 1)
+    shapes = (
+        lambda size: ((i, -i) for i in range(size)),  # covers
+        lambda size: ({"id": i, "dim": i % 3, "label": (shared, (i % 5,))} for i in range(size)),
+        lambda size: (i * i for i in range(size)),
+    )
+    for size in (0, 1, 1024, 1025, 3000):
+        for make in shapes:
+            for wrap, indent in ((lambda xs: xs, 2), (lambda xs: {"a": 1, "x": xs}, 4)):
+                stream = RecordingStream()
+                cli._dump(wrap(make(size)), stream)
+                assert "".join(stream.writes) == oracle(wrap(list(make(size)))), (size, indent)
+                # an item opens a line at this indent with anything but a closing bracket
+                starts = [sum(line[:indent].isspace() and line[indent] not in " ]}"
+                              for line in w.split("\n")[1:] if len(line) > indent)
+                          for w in stream.writes]
+                assert sum(starts) == size and max(starts) <= 1024, (size, indent)
+
+
 def test_dump_matches_json_dump_on_every_command(graphs, capsys, monkeypatch, tmp_path):
     rp2 = tmp_path / "rp2.json"
     rp2.write_text(json.dumps({"vertices": list(range(6)), "facets": RP2_FACETS}))
@@ -842,15 +862,18 @@ def test_dump_matches_json_dump_on_every_command(graphs, capsys, monkeypatch, tm
         "verify": ["verify", "-G", graphs["p3"], "-H", graphs["k3"], "--side", "first", "--fold-vertex", "0"],
         "gen": ["gen", "--seed", "5", "--count", "3"],
     }
-    payloads = {}
+    # keep each payload as the command built it, tuples and generators
+    # included; a generator reads once, so each command runs twice, one
+    # payload for the writer and one for json.dump
+    payloads, again = {}, {}
     for command, argv in commands.items():
-        # keep the payload as the command built it, tuples included
-        monkeypatch.setattr(cli, "_dump", lambda payload, stream, c=command: payloads.setdefault(c, payload))
-        assert main(argv + ["--json"]) == 0, command
+        for kept in (payloads, again):
+            monkeypatch.setattr(cli, "_dump", lambda payload, stream, c=command, k=kept: k.setdefault(c, payload))
+            assert main(argv + ["--json"]) == 0, command
     monkeypatch.undo()
     capsys.readouterr()
-    assert payloads.keys() == commands.keys()
+    assert payloads.keys() == again.keys() == commands.keys()
     assert payloads["homology torsion"]["torsion"] == [[], [2]]
     assert payloads["homology gf2"]["torsion"] is None
     for command, payload in payloads.items():
-        assert dumped(payload) == oracle(payload), command
+        assert dumped(payload) == oracle(again[command], default=list), command

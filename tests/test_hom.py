@@ -1,5 +1,9 @@
+import gc
 import itertools
+import json
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -8,21 +12,27 @@ from homcollapse import (
     FoldWitness,
     Graph,
     GraphHom,
+    HomComplex,
     ResourceLimitError,
     cell_dim,
     cell_vertex_sets,
     enumerate_hom_cells,
+    format_graph,
     induced_contravariant,
     induced_covariant,
     is_homomorphism,
     second_arg_collapse,
 )
+from homcollapse import cli
+from homcollapse.cli import main
 from helpers import (
     as_read,
     brute_hom_cells,
     brute_homs,
     complete,
+    cycle,
     edgeless,
+    k4_pendant,
     loop_vertex,
     path_graph,
     random_graph,
@@ -145,7 +155,7 @@ def test_covers_match_containment_oracle():
         assert set(hom.poset.covers) == expected
 
 
-def test_enumeration_builds_no_poset(monkeypatch):
+def test_enumeration_builds_no_poset(monkeypatch, capsys, tmp_path):
     made = []
     init, from_hasse = FacePoset.__init__, FacePoset._from_hasse.__func__
 
@@ -163,6 +173,16 @@ def test_enumeration_builds_no_poset(monkeypatch):
     assert made == [] and "poset" not in vars(hom)
     p = hom.poset
     assert made == ["_from_hasse"] and hom.poset is p and vars(hom)["poset"] is p
+    # hom --out writes the cells and their covers with no poset built
+    made.clear()
+    files = []
+    for name, graph in (("g", path_graph(3)), ("h", complete(3))):
+        files.append(tmp_path / name)
+        files[-1].write_text(format_graph(graph))
+    out = tmp_path / "out.json"
+    assert main(["hom", "-G", str(files[0]), "-H", str(files[1]), "--out", str(out)]) == 0
+    assert "cells: " in capsys.readouterr().out
+    assert made == [] and len(json.loads(out.read_text())["covers"]) == 42
 
 
 def test_side_second_plan_builds_no_poset():
@@ -202,6 +222,60 @@ def test_lazy_poset_matches_the_validating_constructor():
         assert p.ids == ref.ids
         assert p.upper == ref.upper and p.lower == ref.lower
         assert p.dim_of == ref.dim_of and p.label_of == ref.label_of
+        # the streamed JSON and f-vector read the cells as the poset does
+        assert as_read(hom.to_json()) == as_read(p.to_json())
+        assert hom.f_vector() == p.f_vector()
+        # every cell upper_covers looks up is a cell, and each one is a cover
+        watched = HomComplex(g, h, hom.cells, WatchedIndex(hom.cell_index))
+        ups = list(watched.upper_covers())
+        assert ups == [ref.upper[i] for i in ids]
+        read = watched.cell_index.read
+        assert all(c in hom.cell_index for c in read) and len(read) == sum(map(len, ups))
+
+
+class WatchedIndex(dict):
+    """A cell index that records every key read from it."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def test_hom_out_holds_no_list_of_covers():
+    # writing the 2,640 cells and 8,100 covers of Hom(C5, K4p) peaks below
+    # building its poset's covers tuple, as hom --out did before it streamed
+    built = enumerate_hom_cells(cycle(5), k4_pendant())
+    unread = enumerate_hom_cells(cycle(5), k4_pendant())
+    peaks = []
+    for build in (lambda: tuple(built.poset.covers), lambda: cli._dump(unread.to_json(), Sink())):
+        gc.collect()  # empties the free lists, so both peaks count every object made
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(built) == 2640 and len(built.poset.covers) == 8100 and "poset" not in vars(unread)
+    covers_peak, dump_peak = peaks
+    assert dump_peak < covers_peak, peaks
+
+
+class Sink:
+    """A stream that keeps nothing written to it."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, texts):
+        deque(texts, maxlen=0)
 
 
 def test_max_cells_budget():
