@@ -265,9 +265,9 @@ def cmd_homology(args) -> int:
             raise ValueError("homology needs either --complex or both -G and -H")
         g = _read_graph(args.domain)
         h = _read_graph(args.codomain)
-        cells = enumerate_hom_cells(g, h, args.max_cells).poset
+        hom = enumerate_hom_cells(g, h, args.max_cells)
         # the f-vector is the order complex's, counted unbuilt; the Betti numbers are cellular, the same ones
-        fv, bv = cells.chain_counts(), betti(cells, args.coefficients)
+        fv, bv = hom.poset.chain_counts(), betti(hom, args.coefficients)
     line = f"f-vector: {list(fv)}  betti: {list(bv.betti)}"
     if bv.torsion:
         line += f"  torsion: {[list(t) for t in bv.torsion]}"

@@ -39,8 +39,7 @@ class CollapseSequence:
     """Ordered elementary collapse steps.
 
     In "simplicial" mode each step names a free face and its unique coface
-    as sorted vertex tuples; in "cw" mode the steps are cell ids in a face
-    poset.
+    as sorted vertex tuples; in "cw" mode they are HomComplex cell ids.
     """
 
     mode: str

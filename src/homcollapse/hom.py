@@ -4,6 +4,8 @@ A cell assigns to each vertex of the domain graph a nonempty set of target
 vertices, such that any choice across an edge lands on an edge.  Cells are
 kept as tuples of bitmasks over the codomain's vertices; the face relation
 is pointwise containment, and covers add exactly one vertex to one set.
+A cell (A_0, ..., A_{n-1}) is the product of the simplices on the A_x, so
+Hom(G, H) is a regular CW complex, read as one by HomComplex.facets().
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphs import Graph, GraphHom, bits, is_homomorphism, mask_of
-from .posets import FacePoset, PosetMap, ResourceLimitError
+from .posets import FacePoset, ResourceLimitError
 
 Cell = tuple[int, ...]
 
@@ -44,7 +46,7 @@ class HomComplex:
         return len(self.cells)
 
     def f_vector(self) -> tuple[int, ...]:
-        """Cell counts by dimension, as poset.f_vector() reads them, with no poset built."""
+        """Cell counts by dimension."""
         counts = Counter(map(cell_dim, self.cells))
         return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
 
@@ -87,11 +89,30 @@ class HomComplex:
             ups.sort()
             yield tuple(ups)
 
+    def facets(self):
+        """For each cell in id order, its codimension-1 faces as (id, e) pairs.
+
+        Dropping the j-th smallest vertex of a set A_x of two or more
+        vertices is a face with incidence (-1)^e, e = sum over y < x of
+        (|A_y| - 1) + j: the product rule for simplices.  Every face is
+        looked up in cell_index, so the cells must be a down-set; the cells
+        of a Hom and those left by legal collapses are.
+        """
+        index = self.cell_index
+        for cell in self.cells:
+            faces = []
+            e = 0  # sum over y < x of (|A_y| - 1)
+            for x, m in enumerate(cell):
+                if m & (m - 1):
+                    head, tail = cell[:x], cell[x + 1 :]
+                    faces += ((index[head + (m ^ (1 << a),) + tail], e + j) for j, a in enumerate(bits(m)))
+                    e += m.bit_count() - 1
+            yield faces
+
     @cached_property
     def poset(self) -> FacePoset:
-        """The face poset of the cells, built on first read.
-
-        Id k is cells[k], labelled by its vertex sets.  Its upper covers are
+        """The bare face poset of the cells, built on first read: id k is
+        cells[k], with no dims or labels.  Its upper covers are
         upper_covers() as yielded; each lower cover list is filled in id
         order, so it comes out sorted and free of repeats.
         """
@@ -103,14 +124,12 @@ class HomComplex:
                 lower[b].append(a)
         for b, xs in lower.items():  # in place, so no second copy of every list is held
             lower[b] = tuple(xs)
-        labels = dict(zip(ids, self._labels()))
-        n = self.domain.n
-        dims = {cid: sum(map(len, sets)) - n for cid, sets in labels.items()}
-        return FacePoset._from_hasse(ids, upper, lower, dims, labels)
+        return FacePoset._from_hasse(ids, upper, lower)
 
     def to_json(self) -> dict:
-        """poset.to_json() with no poset built: its element records and its
-        covers (a, b), a in id order, are generators, read once as written."""
+        """The face poset's JSON, dims and vertex-set labels included, with
+        no poset built: its element records and its covers (a, b), a in id
+        order, are generators, read once as written."""
         n = self.domain.n
         return {
             "elements": (
@@ -178,9 +197,10 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
     return HomComplex(g, h, tuple(cells), {c: k for k, c in enumerate(cells)})
 
 
-def induced_covariant(f: GraphHom, source: HomComplex, target: HomComplex) -> PosetMap:
+def induced_covariant(f: GraphHom, source: HomComplex, target: HomComplex) -> dict[int, int]:
     """Push cells forward along f in the codomain slot:
-    Hom(K, f.source) -> Hom(K, f.target), applying f to every vertex set."""
+    Hom(K, f.source) -> Hom(K, f.target), applying f to every vertex set.
+    Returns the map of cell ids."""
     if not is_homomorphism(f):
         raise ValueError("covariant induction needs a graph homomorphism")
     if source.codomain != f.source or target.codomain != f.target:
@@ -191,12 +211,13 @@ def induced_covariant(f: GraphHom, source: HomComplex, target: HomComplex) -> Po
     for cid, cell in enumerate(source.cells):
         image = tuple(mask_of(f.map[a] for a in bits(m)) for m in cell)
         mapping[cid] = target.cell_index[image]
-    return PosetMap(source.poset, target.poset, mapping)
+    return mapping
 
 
-def induced_contravariant(f: GraphHom, source: HomComplex, target: HomComplex) -> PosetMap:
+def induced_contravariant(f: GraphHom, source: HomComplex, target: HomComplex) -> dict[int, int]:
     """Pull cells back along f in the domain slot:
-    Hom(f.target, H) -> Hom(f.source, H), precomposing assignments with f."""
+    Hom(f.target, H) -> Hom(f.source, H), precomposing assignments with f.
+    Returns the map of cell ids."""
     if not is_homomorphism(f):
         raise ValueError("contravariant induction needs a graph homomorphism")
     if source.domain != f.target or target.domain != f.source:
@@ -207,4 +228,4 @@ def induced_contravariant(f: GraphHom, source: HomComplex, target: HomComplex) -
     for cid, cell in enumerate(source.cells):
         image = tuple(cell[f.map[x]] for x in range(f.source.n))
         mapping[cid] = target.cell_index[image]
-    return PosetMap(source.poset, target.poset, mapping)
+    return mapping

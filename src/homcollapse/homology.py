@@ -4,12 +4,12 @@ The executor replays elementary collapse steps against the stated ambient
 complex, maintaining upper-cover counts so that freeness of a face is an
 O(1) check at the moment the step fires.  Homology comes from scratch, off
 one sparse boundary per dimension, either of a simplicial complex or of
-the cellular chain complex of a face poset of product cells (the cells of
-Hom(G, H), read from their vertex-set labels).  Both feed one rank loop
-that shares no code path with the collapse builders: column reduction
-over GF(2) on int bitsets, or integer Smith invariant factors from an
-exact sparse elimination.  verify_plan is the one place that knows how a
-fold plan of either side is judged.
+the cellular chain complex of a HomComplex, with the signed faces of
+HomComplex.facets().  Both feed one rank loop that shares no code path
+with the collapse builders: column reduction over GF(2) on int bitsets,
+or integer Smith invariant factors from an exact sparse elimination.
+verify_plan is the one place that knows how a fold plan of either side
+is judged.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .closure import CollapseSequence
 from .graphs import apply_fold
-from .hom import enumerate_hom_cells, induced_contravariant, induced_covariant
-from .posets import FacePoset, SimplicialComplex, order_complex
+from .hom import HomComplex, cell_dim, enumerate_hom_cells, induced_contravariant, induced_covariant
+from .posets import SimplicialComplex, order_complex
 
 
 @dataclass
@@ -35,7 +35,7 @@ class CollapseReport:
 
 def execute_collapses(ambient, seq: CollapseSequence):
     """Replay seq on ambient, which is a SimplicialComplex for simplicial
-    mode or a FacePoset for cw mode.
+    mode or a HomComplex, whose cell ids the steps name, for cw mode.
 
     A step (free, coface) is legal when both are present, coface covers
     free, free has no other remaining coface, and coface is maximal.  On
@@ -43,6 +43,7 @@ def execute_collapses(ambient, seq: CollapseSequence):
     an offending cell.  Returns (surviving cells, CollapseReport): a set of
     simplices in simplicial mode, of element ids in cw mode.  Legal steps
     remove free pairs, so the survivors are a subcomplex (a down-set).
+    Any other ambient, a FacePoset included, raises TypeError.
     """
     if isinstance(ambient, SimplicialComplex):
         if seq.mode != "simplicial":
@@ -55,15 +56,15 @@ def execute_collapses(ambient, seq: CollapseSequence):
 
         def dim(s):
             return len(s) - 1
-    elif isinstance(ambient, FacePoset):
+    elif isinstance(ambient, HomComplex):
         if seq.mode != "cw":
-            raise ValueError("simplicial sequence cannot run on a face poset")
-        cells = ambient.ids
+            raise ValueError("simplicial sequence cannot run on a hom complex")
+        cells = range(len(ambient))
         steps = seq.steps
-        faces = ambient.lower.__getitem__
+        faces = [tuple(f for f, _ in fs) for fs in ambient.facets()].__getitem__
 
         def dim(i):
-            return ambient.dim_of.get(i, -1)
+            return cell_dim(ambient.cells[i])
     else:
         raise TypeError(f"cannot collapse a {type(ambient).__name__}")
 
@@ -220,18 +221,15 @@ def _betti(sizes: Sequence[int], boundary, coefficients: str) -> BettiVector:
 def betti(x, coefficients: str = "gf2") -> BettiVector:
     """Unreduced Betti numbers of x, plus invariant factors in integer mode.
 
-    x is a SimplicialComplex, or a FacePoset read as a regular CW complex:
-    an element labelled by vertex sets (A_0, ..., A_{n-1}), as
-    enumerate_hom_cells labels the cells of Hom(G, H), is the product of
-    the simplices on the A_x.  Raises ValueError unless every element
-    carries such a label, every face of a label is an element, and each
-    element's lower covers are exactly the faces of its label.  Each
+    x is a SimplicialComplex, or a HomComplex read as the regular CW
+    complex of its product cells, with the faces and incidences of
+    x.facets(); any other x, a FacePoset included, raises TypeError.  Each
     boundary is assembled from scratch once, as sparse columns of face
     indices; no collapse data is read.
     """
     if isinstance(x, SimplicialComplex):
         return _betti(*_simplicial_chains(x), coefficients)
-    if isinstance(x, FacePoset):
+    if isinstance(x, HomComplex):
         return _betti(*_cellular_chains(x), coefficients)
     raise TypeError(f"no Betti numbers for {type(x).__name__}")
 
@@ -256,40 +254,13 @@ def _simplicial_chains(x: SimplicialComplex):
     return [len(sims) for sims in cells], boundary
 
 
-def _cellular_chains(p: FacePoset):
-    """Product cells of p by dimension, and boundaries: dropping the j-th
-    smallest vertex of A_x has incidence (-1)^(sum over y < x of
-    (|A_y| - 1) + j), the product rule for simplices."""
-    cell_of = {}
-    for i in p.ids:
-        label = p.label_of.get(i)
-        try:
-            cell = tuple(tuple(a) for a in label)
-            ok = all(a and all(type(v) is int for v in a) and list(a) == sorted(set(a)) for a in cell)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"element {i} is not labelled as a product cell: {label!r}")
-        cell_of[i] = cell
-    id_of = {cell: i for i, cell in cell_of.items()}
-    if len(id_of) != len(cell_of):
-        raise ValueError("two elements carry the same cell label")
-    faces: dict[int, list[tuple[int, int]]] = {}
+def _cellular_chains(hom: HomComplex):
+    """The cells of hom by dimension, and boundaries: each face (f, e) of
+    hom.facets() has incidence (-1)^e."""
+    faces = list(hom.facets())
     by_dim: dict[int, list[int]] = {}
-    for i, cell in cell_of.items():
-        out = []
-        dim = 0
-        for x, a in enumerate(cell):
-            for j in range(len(a) if len(a) > 1 else 0):  # a single vertex has no face
-                face = id_of.get(cell[:x] + (a[:j] + a[j + 1 :],) + cell[x + 1 :])
-                if face is None:
-                    raise ValueError(f"cell {i} lacks the face dropping {a[j]} from set {x}")
-                out.append((face, dim + j))
-            dim += len(a) - 1
-        if tuple(sorted(f for f, _ in out)) != p.lower[i]:
-            raise ValueError(f"covers of cell {i} are not the faces of its label")
-        faces[i] = out
-        by_dim.setdefault(dim, []).append(i)
+    for i, cell in enumerate(hom.cells):
+        by_dim.setdefault(cell_dim(cell), []).append(i)
     cells = [by_dim.get(d, []) for d in range(max(by_dim, default=-1) + 1)]
     row = {i: k for ids in cells for k, i in enumerate(ids)}
 
@@ -344,17 +315,18 @@ def compare_collapse(
     Checks, all independent of how the sequence was produced: every step
     legal, every step removing a (k, k+1) pair so the Euler characteristic
     is pinned stepwise, the survivors equal to expected_remaining, and the
-    Betti numbers of ambient and of the survivors equal.  In cw mode they
-    are cellular ones, read from the product-cell labels, and the survivors
-    form a subcomplex even when the replay stops early (each legal step
-    removes a free pair).  Labels that are not product cells raise
-    ValueError.
+    Betti numbers of ambient and of the survivors equal.  In cw mode ambient
+    is a HomComplex, the Betti numbers are cellular, and the survivors are
+    judged as the HomComplex of the remaining cells, which form a
+    subcomplex even when the replay stops early (each legal step removes a
+    free pair).
     """
     remaining, report = execute_collapses(ambient, seq)
     if isinstance(ambient, SimplicialComplex):
         survivors = SimplicialComplex(remaining, check=False)
     else:
-        survivors = ambient.restrict(remaining)  # a down-set keeps the ambient's covers
+        cells = tuple(ambient.cells[i] for i in sorted(remaining))
+        survivors = HomComplex(ambient.domain, ambient.codomain, cells, {c: k for k, c in enumerate(cells)})
     before, after = betti(ambient, coefficients), betti(survivors, coefficients)
     return _judge(report, remaining, expected_remaining, before, after)
 
@@ -368,9 +340,10 @@ def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
     and Hom(K, G - v) for side "second", whose cells carry into Hom(K, G)
     along the inclusion.  The carried cells must be target_cells one to
     one and span retained, else remaining_matches is False.  The steps
-    replay on the order complex of the cell poset (first) or on the cell
-    poset itself (second), and the cellular Betti numbers of both Homs
-    are compared.
+    replay on the order complex of the cell poset (first) or on the
+    HomComplex plan.hom itself (second), and the cellular Betti numbers
+    of plan.hom and of the folded Hom are compared.  Side second builds no
+    face poset.
     """
     hom, first = plan.hom, plan.side == "first"
     small, retraction, inclusion = apply_fold(hom.domain if first else hom.codomain, plan.witness)
@@ -380,14 +353,14 @@ def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
         carried, ambient = induced_contravariant(retraction, folded, hom), order_complex(hom.poset)
         cause = "target cells do not pull back one-to-one onto Hom(G - v, H)"
     else:
-        carried, ambient = induced_covariant(inclusion, folded, hom), hom.poset
+        carried, ambient = induced_covariant(inclusion, folded, hom), hom
         cause = "target cells are not Hom(K, G - v) pushed forward one-to-one"
-    cells = sorted(carried.map.values())
+    cells = sorted(carried.values())
     # the sequence's currency: chains of the carried cells (first) or the cells themselves
     spans = frozenset(hom.poset.chains(within=cells) if first else cells)
     on_target = cells == sorted(plan.target_cells) and plan.retained == spans
     remaining, report = execute_collapses(ambient, plan.sequence)
-    before, after = betti(hom.poset, coefficients), betti(folded.poset, coefficients)
+    before, after = betti(hom, coefficients), betti(folded, coefficients)
     return _judge(report, remaining, plan.retained, before, after, None if on_target else cause)
 
 

@@ -62,11 +62,12 @@ class FacePoset:
         self._topo  # a cycle raises here
 
     @classmethod
-    def _from_hasse(cls, ids, upper, lower, dims, labels) -> "FacePoset":
-        """The poset whose upper and lower covers of each id are the sorted,
-        duplicate-free tuples given, taken as they are and unchecked."""
+    def _from_hasse(cls, ids, upper, lower) -> "FacePoset":
+        """The bare poset, with no dims or labels, whose upper and lower covers
+        of each id are the sorted, duplicate-free tuples given, taken as they
+        are and unchecked."""
         p = cls.__new__(cls)
-        p._set_hasse(ids, upper, lower, dims, labels)
+        p._set_hasse(ids, upper, lower, {}, {})
         return p
 
     def _set_hasse(self, ids, upper, lower, dims, labels) -> None:

@@ -9,7 +9,7 @@ fixture at the end is a worked closure example for the collapse tests.
 import itertools
 import json
 
-from homcollapse import FacePoset, Graph, PosetMap
+from homcollapse import FacePoset, Graph, HomComplex, PosetMap
 
 
 def as_read(value):
@@ -62,6 +62,13 @@ def reflexive_k2():
 def loop_fold_pair():
     # 0 -- 1 with a loop at 1; N(0) = {1} inside N(1) = {0, 1}
     return Graph.from_edges(2, [(0, 1), (1, 1)])
+
+
+def sub_complex(hom, ids):
+    """The cells of hom with the given ids, a down-set, as a HomComplex of
+    their own, renumbered in id order; it is read through facets() only."""
+    cells = tuple(hom.cells[i] for i in sorted(ids))
+    return HomComplex(hom.domain, hom.codomain, cells, {c: k for k, c in enumerate(cells)})
 
 
 def random_graph(rng, n, p=0.5, loops=False):

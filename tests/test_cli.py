@@ -9,6 +9,7 @@ import pytest
 
 from homcollapse import (
     FacePoset,
+    HomComplex,
     PosetMap,
     betti,
     format_graph,
@@ -169,7 +170,7 @@ def test_homology_from_graphs(graphs, capsys, monkeypatch):
     monkeypatch.setattr(cli, "betti", lambda x, ring: seen.append(x) or betti(x, ring))
     code, out, err = run(capsys, ["homology", "-G", graphs["k2"], "-H", graphs["k3"], "--json"])
     assert code == 0
-    assert [type(x) for x in seen] == [FacePoset]
+    assert [type(x) for x in seen] == [HomComplex]
     data = json.loads(out)
     assert data["betti"] == [1, 1] and data["coefficients"] == "gf2"
     assert data["torsion"] is None
@@ -608,6 +609,33 @@ def test_verify_second_argument_fold_integer_projective_space(capsys, tmp_path):
     assert code == 0
     verdict = json.loads(out)["verdict"]
     assert verdict["betti_before"] == verdict["betti_after"] == [1, 0, 0, 1]
+
+
+def _refuse_poset(hom):
+    raise AssertionError("a Hom face poset was built")
+
+
+# K4 with pendants 4 on 0 and 5 on 1
+K4PP = "n 6\n" + "".join(f"e {a} {b}\n" for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 5)))
+
+
+def test_verify_second_builds_no_face_poset(capsys, tmp_path, monkeypatch):
+    # side second replays on the cells of Hom(K, G) and reads both Homs' Betti numbers from their facets
+    monkeypatch.setattr(HomComplex, "poset", property(_refuse_poset))
+    files = {}
+    for name, text in (("k2", K2), ("c5", format_graph(cycle(5))), ("k4p", format_graph(k4_pendant())), ("k4pp", K4PP)):
+        files[name] = tmp_path / f"{name}.graph"
+        files[name].write_text(text)
+    runs = (
+        (["-G", files["c5"], "-H", files["k4p"]],
+         "ambient_cells=2640 target_cells=2160 betti=[1, 1, 1, 1]->[1, 1, 1, 1]"),
+        (["-G", files["k2"], "-H", files["k4pp"], "--coefficients", "integer"],
+         "ambient_cells=82 target_cells=66 betti=[1, 0, 1]->[1, 0, 1]"),
+    )
+    for argv, summary in runs:
+        code, out, err = run(capsys, ["verify", *map(str, argv), "--side", "second", "--fold-vertex", "4"])
+        assert code == 0 and err == ""
+        assert out == f"verify: PASS side=second fold=(4,1) {summary}\n"
 
 
 def test_missing_graph_file(graphs, capsys, tmp_path):

@@ -13,6 +13,7 @@ from homcollapse import (
     Graph,
     GraphHom,
     HomComplex,
+    PosetMap,
     ResourceLimitError,
     cell_dim,
     cell_vertex_sets,
@@ -46,12 +47,12 @@ def as_sets(hom):
 def test_single_vertex_domain_gives_full_simplex():
     hom = enumerate_hom_cells(Graph.from_edges(1, []), complete(3))
     assert len(hom) == 7
-    assert hom.poset.f_vector() == (3, 3, 1)
+    assert hom.f_vector() == (3, 3, 1)
 
 
 def test_edge_into_triangle():
     hom = enumerate_hom_cells(complete(2), complete(3))
-    assert hom.poset.f_vector() == (6, 6)
+    assert hom.f_vector() == (6, 6)
     # oracle: ordered pairs of disjoint nonempty subsets of a 3-set
     expected = {
         (a, b)
@@ -67,13 +68,13 @@ def test_edge_into_triangle():
 def test_path_into_triangle():
     hom = enumerate_hom_cells(path_graph(3), complete(3))
     assert len(hom) == 30
-    assert hom.poset.f_vector() == (12, 15, 3)
+    assert hom.f_vector() == (12, 15, 3)
 
 
 def test_no_homomorphisms_to_smaller_clique():
     hom = enumerate_hom_cells(complete(3), complete(2))
     assert len(hom) == 0
-    assert hom.poset.f_vector() == ()
+    assert hom.f_vector() == ()
 
 
 def test_loops():
@@ -123,16 +124,15 @@ def test_cell_order_is_lexicographic():
     hom = enumerate_hom_cells(complete(2), complete(3))
     keys = [cell_vertex_sets(c) for c in hom.cells]
     assert keys == sorted(keys)
-    for k, cell in enumerate(hom.cells):
-        assert hom.poset.label_of[k] == cell_vertex_sets(cell)
-        assert hom.poset.dim_of[k] == cell_dim(cell)
+    # each element record names its cell's vertex sets and dimension
+    for k, (cell, record) in enumerate(zip(hom.cells, hom.to_json()["elements"])):
+        assert record == {"id": k, "dim": cell_dim(cell), "label": cell_vertex_sets(cell)}
 
 
 def test_covers_add_one_vertex():
     hom = enumerate_hom_cells(path_graph(3), complete(3))
-    p = hom.poset
-    for a, b in p.covers:
-        assert p.dim_of[b] == p.dim_of[a] + 1
+    for a, b in hom.poset.covers:
+        assert cell_dim(hom.cells[b]) == cell_dim(hom.cells[a]) + 1
         diff = [
             (ma, mb) for ma, mb in zip(hom.cells[a], hom.cells[b]) if ma != mb
         ]
@@ -153,6 +153,37 @@ def test_covers_match_containment_oracle():
                 if all(x & y == x for x, y in zip(a, b)) and cell_dim(b) == cell_dim(a) + 1:
                     expected.add((i, j))
         assert set(hom.poset.covers) == expected
+
+
+def _label_rule_faces(cell):
+    """The faces of a cell read off its vertex sets (A_0, ..., A_{n-1}):
+    dropping the j-th smallest vertex of A_x, with sign exponent
+    sum over y < x of (|A_y| - 1) + j."""
+    sets = cell_vertex_sets(cell)
+    faces, e = [], 0
+    for x, a in enumerate(sets):
+        if len(a) > 1:
+            faces += [(sets[:x] + (a[:j] + a[j + 1 :],) + sets[x + 1 :], e + j) for j in range(len(a))]
+        e += len(a) - 1
+    return faces
+
+
+def test_facets_are_the_lower_covers_with_product_rule_signs():
+    rng = random.Random(59)
+    # the empty domain has one cell, (), with no faces; Hom(K3, K2) has no cells
+    homs = [enumerate_hom_cells(edgeless(0), complete(3)), enumerate_hom_cells(complete(3), complete(2))]
+    assert [list(hom.facets()) for hom in homs] == [[[]], []]
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 3), rng.random(), loops=True)
+        h = random_graph(rng, rng.randint(1, 4), rng.random(), loops=True)
+        homs.append(enumerate_hom_cells(g, h))
+    for hom in homs:
+        faces = list(hom.facets())
+        assert len(faces) == len(hom.cells)
+        by_label = {cell_vertex_sets(c): k for k, c in enumerate(hom.cells)}
+        for k, cell in enumerate(hom.cells):
+            assert sorted(f for f, _ in faces[k]) == list(hom.poset.lower[k])
+            assert faces[k] == [(by_label[sets], e) for sets, e in _label_rule_faces(cell)]
 
 
 def test_enumeration_builds_no_poset(monkeypatch, capsys, tmp_path):
@@ -221,10 +252,10 @@ def test_lazy_poset_matches_the_validating_constructor():
         p = hom.poset
         assert p.ids == ref.ids
         assert p.upper == ref.upper and p.lower == ref.lower
-        assert p.dim_of == ref.dim_of and p.label_of == ref.label_of
-        # the streamed JSON and f-vector read the cells as the poset does
-        assert as_read(hom.to_json()) == as_read(p.to_json())
-        assert hom.f_vector() == p.f_vector()
+        # the poset is bare: the streamed JSON and the f-vector read dims and labels off the cells
+        assert p.dim_of == {} and p.label_of == {}
+        assert as_read(hom.to_json()) == as_read(ref.to_json())
+        assert hom.f_vector() == ref.f_vector()
         # every cell upper_covers looks up is a cell, and each one is a cover
         watched = HomComplex(g, h, hom.cells, WatchedIndex(hom.cell_index))
         ups = list(watched.upper_covers())
@@ -251,11 +282,17 @@ class WatchedIndex(dict):
 
 def test_hom_out_holds_no_list_of_covers():
     # writing the 2,640 cells and 8,100 covers of Hom(C5, K4p) peaks below
-    # building its poset's covers tuple, as hom --out did before it streamed
+    # building its poset, with each cell's dim and label, and the poset's
+    # covers tuple, as hom --out did before it streamed
     built = enumerate_hom_cells(cycle(5), k4_pendant())
     unread = enumerate_hom_cells(cycle(5), k4_pendant())
+
+    def labelled_poset_covers():
+        dims = {k: cell_dim(c) for k, c in enumerate(built.cells)}
+        return built.poset, dims, dict(enumerate(built._labels())), tuple(built.poset.covers)
+
     peaks = []
-    for build in (lambda: tuple(built.poset.covers), lambda: cli._dump(unread.to_json(), Sink())):
+    for build in (labelled_poset_covers, lambda: cli._dump(unread.to_json(), Sink())):
         gc.collect()  # empties the free lists, so both peaks count every object made
         tracemalloc.start()
         try:
@@ -293,12 +330,13 @@ def test_induced_covariant_pushforward():
     source = enumerate_hom_cells(k2, l3)
     target = enumerate_hom_cells(k2, folded)
     pushed = induced_covariant(f, source, target)
-    assert pushed.is_order_preserving() is None
+    assert PosetMap(source.poset, target.poset, pushed).is_order_preserving() is None
     # the inclusion lands on the cells avoiding the folded vertex
     back = induced_covariant(i, target, source)
-    assert all(0 not in cell_vertex_sets(source.cells[back.map[c]])[0]
-               and 0 not in cell_vertex_sets(source.cells[back.map[c]])[1]
-               for c in back.map)
+    assert sorted(back) == list(range(len(target.cells)))
+    assert all(0 not in cell_vertex_sets(source.cells[back[c]])[0]
+               and 0 not in cell_vertex_sets(source.cells[back[c]])[1]
+               for c in back)
 
 
 def test_induced_contravariant_restriction():
@@ -309,11 +347,11 @@ def test_induced_contravariant_restriction():
     source = enumerate_hom_cells(l3, k3)
     target = enumerate_hom_cells(folded, k3)
     res = induced_contravariant(i, source, target)
-    assert res.is_order_preserving() is None
-    assert set(res.map.values()) == set(range(len(target.cells)))  # surjective
+    assert PosetMap(source.poset, target.poset, res).is_order_preserving() is None
+    assert set(res.values()) == set(range(len(target.cells)))  # surjective
     lifted = induced_contravariant(f, target, source)
     # restriction after lifting is the identity (f after i is id)
-    assert all(res.map[lifted.map[c]] == c for c in lifted.map)
+    assert all(res[lifted[c]] == c for c in lifted)
 
 
 def test_induced_maps_are_functorial():
@@ -336,16 +374,14 @@ def test_induced_maps_are_functorial():
         hk3 = enumerate_hom_cells(k, g3)
         fg = GraphHom(g1, g3, tuple(g.map[y] for y in f.map))
         first, second = induced_covariant(f, hk1, hk2), induced_covariant(g, hk2, hk3)
-        one = {x: second.map[y] for x, y in first.map.items()}
-        both = induced_covariant(fg, hk1, hk3)
-        assert one == both.map
+        one = {x: second[y] for x, y in first.items()}
+        assert one == induced_covariant(fg, hk1, hk3)
         h1k = enumerate_hom_cells(g1, k)
         h2k = enumerate_hom_cells(g2, k)
         h3k = enumerate_hom_cells(g3, k)
         first, second = induced_contravariant(g, h3k, h2k), induced_contravariant(f, h2k, h1k)
-        contra = {x: second.map[y] for x, y in first.map.items()}
-        direct = induced_contravariant(fg, h3k, h1k)
-        assert contra == direct.map
+        contra = {x: second[y] for x, y in first.items()}
+        assert contra == induced_contravariant(fg, h3k, h1k)
     assert tries >= 15
 
 
@@ -353,9 +389,9 @@ def test_induced_identity_is_identity():
     l3 = path_graph(3)
     hom = enumerate_hom_cells(l3, complete(3))
     cov = induced_covariant(GraphHom(complete(3), complete(3), (0, 1, 2)), hom, hom)
-    assert cov.map == {c: c for c in range(len(hom.cells))}
+    assert cov == {c: c for c in range(len(hom.cells))}
     contra = induced_contravariant(GraphHom(l3, l3, (0, 1, 2)), hom, hom)
-    assert contra.map == {c: c for c in range(len(hom.cells))}
+    assert contra == {c: c for c in range(len(hom.cells))}
 
 
 def test_induced_rejects_non_homomorphism():

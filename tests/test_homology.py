@@ -10,6 +10,7 @@ from homcollapse import (
     FacePoset,
     FoldWitness,
     Graph,
+    HomComplex,
     PosetMap,
     SimplicialComplex,
     betti,
@@ -27,7 +28,7 @@ from homcollapse import (
     smith_invariant_factors,
 )
 
-from homcollapse.homology import _cellular_chains, _judge
+from homcollapse.homology import CollapseReport, _cellular_chains, _judge
 
 from helpers import as_read, complete, cycle, edgeless, k4_pendant, path_graph
 
@@ -233,15 +234,6 @@ def test_execute_rejects_non_free_face():
     assert len(remaining) == 7  # nothing was removed
 
 
-def test_execute_rejects_non_maximal_coface():
-    # in a closed simplicial complex a free face's unique coface is always
-    # maximal, so drive this branch through the cw executor on a bare chain
-    p = FacePoset(range(3), [(0, 1), (1, 2)], dims={0: 0, 1: 1, 2: 2})
-    _, report = execute_collapses(p, CollapseSequence("cw", ((0, 1),)))
-    assert not report.valid and report.failed_step == 0
-    assert "not maximal" in report.detail and "2" in report.detail
-
-
 def test_execute_rejects_missing_cells_and_mode_mismatch():
     x = full_triangle()
     _, report = execute_collapses(
@@ -251,46 +243,46 @@ def test_execute_rejects_missing_cells_and_mode_mismatch():
     with pytest.raises(ValueError):
         execute_collapses(x, CollapseSequence("cw", ((0, 1),)))
     with pytest.raises(ValueError):
-        execute_collapses(face_poset(x), CollapseSequence("simplicial", ()))
+        execute_collapses(hom_triangle(), CollapseSequence("simplicial", ()))
     with pytest.raises(TypeError):
         execute_collapses([1], CollapseSequence("cw", ()))
 
 
+def hom_triangle():
+    # Hom(K1, K3): a cell is one nonempty subset of {0, 1, 2}, so the cells are the full triangle's faces
+    return enumerate_hom_cells(edgeless(1), complete(3))
+
+
+def triangle_cell(hom):
+    """A map from each simplex of the triangle to the id of its Hom(K1, K3) cell."""
+    return lambda s: hom.cell_index[(sum(1 << v for v in s),)]
+
+
 def test_execute_cw_collapse():
-    p = face_poset(full_triangle())
-    by_label = {p.label_of[i]: i for i in p.ids}
-    seq = CollapseSequence("cw", (
-        (by_label[(0, 1)], by_label[(0, 1, 2)]),
-        (by_label[(0,)], by_label[(0, 2)]),
-    ))
-    remaining, report = execute_collapses(p, seq)
-    assert report.valid
-    assert sorted(p.label_of[i] for i in remaining) == [(1,), (1, 2), (2,)]
+    hom = hom_triangle()
+    cell = triangle_cell(hom)
+    seq = CollapseSequence("cw", ((cell((0, 1)), cell((0, 1, 2))), (cell((0,)), cell((0, 2)))))
+    remaining, report = execute_collapses(hom, seq)
+    assert report.valid and report.step_dims == ((1, 2), (0, 1))
     # the survivors keep their original ids
-    assert remaining <= set(p.ids)
+    assert remaining == {cell((1,)), cell((1, 2)), cell((2,))}
 
 
 def test_execute_cw_detects_dependent_steps_out_of_order():
-    p = face_poset(full_triangle())
-    by_label = {p.label_of[i]: i for i in p.ids}
-    good = (
-        (by_label[(0, 1)], by_label[(0, 1, 2)]),
-        (by_label[(0,)], by_label[(0, 2)]),
-    )
-    swapped = (good[1], good[0])
-    _, report = execute_collapses(p, CollapseSequence("cw", swapped))
+    hom = hom_triangle()
+    cell = triangle_cell(hom)
+    swapped = ((cell((0,)), cell((0, 2))), (cell((0, 1)), cell((0, 1, 2))))
+    _, report = execute_collapses(hom, CollapseSequence("cw", swapped))
     assert not report.valid and report.failed_step == 0
 
 
 def _triangle_in(mode):
     """The full triangle as a replay ambient, and a map from its simplices
     to the cells that name them in that mode."""
-    x = full_triangle()
     if mode == "simplicial":
-        return x, lambda s: s
-    p = face_poset(x)
-    by_label = {p.label_of[i]: i for i in p.ids}
-    return p, by_label.__getitem__
+        return full_triangle(), lambda s: s
+    hom = hom_triangle()
+    return hom, triangle_cell(hom)
 
 
 # Illegal steps on the full triangle, each replayed after the legal step
@@ -310,10 +302,6 @@ def _rejection_cases():
         for name, ((free, cof), detail) in TRIANGLE_REJECTIONS.items():
             steps = (first, (cell(free), cell(cof)))
             yield pytest.param(ambient, mode, steps, detail(cell), id=f"{mode}-{name}")
-    # in a closed simplicial complex a free face's unique coface is always
-    # maximal, so only a cw ambient reaches this branch
-    p = FacePoset(range(5), [(0, 1), (1, 2), (3, 4)], dims={0: 0, 1: 1, 2: 2, 3: 0, 4: 1})
-    yield pytest.param(p, "cw", ((3, 4), (0, 1)), "coface 1 is not maximal: 2 remains", id="cw-not-maximal")
 
 
 @pytest.mark.parametrize("ambient, mode, steps, detail", list(_rejection_cases()))
@@ -322,7 +310,7 @@ def test_execute_rejection_branches(ambient, mode, steps, detail):
     assert not report.valid and report.failed_step == 1
     assert report.detail == f"step 1: {detail}"
     assert len(report.step_dims) == 1
-    before = set(ambient.simplices if mode == "simplicial" else ambient.ids)
+    before = set(ambient.simplices if mode == "simplicial" else range(len(ambient)))
     assert remaining == before - set(steps[0])
 
 
@@ -357,17 +345,18 @@ def test_compare_collapse_pass_and_failure_modes():
 
 def test_compare_collapse_names_the_first_failed_check():
     # Hom(K1, K2) is an edge: cell 1 = ({0, 1},) covers 0 = ({0},) and 2 = ({1},)
-    edge = enumerate_hom_cells(edgeless(1), complete(2)).poset
+    edge = enumerate_hom_cells(edgeless(1), complete(2))
     seq = CollapseSequence("cw", ((0, 1),))
     assert compare_collapse(edge, seq, {2}).failure is None
-    # the replay is legal, but the dims say the step removes a (0, 2) pair
-    skewed = FacePoset(edge.ids, edge.covers, {0: 0, 1: 2, 2: 0}, edge.label_of)
+    # every face of a product cell has one dimension less, so only a report
+    # of a legal replay that removed a (0, 2) pair reaches the Euler check
+    skewed = CollapseReport(True, None, ((0, 2),))
     for target in ({2}, {0}):  # the Euler check comes before the survivors
-        verdict = compare_collapse(skewed, seq, target)
+        verdict = _judge(skewed, {2}, target, betti(edge), betti(edge))
         assert verdict.valid and verdict.failure == "a step did not remove a (k, k+1) pair"
     # Hom(K2, K2) is two points, whose Betti numbers differ from an edge's;
     # side-first plans compare two complexes other than the replay's
-    points = betti(enumerate_hom_cells(complete(2), complete(2)).poset)
+    points = betti(enumerate_hom_cells(complete(2), complete(2)))
     remaining, report = execute_collapses(edge, seq)
     verdict = _judge(report, remaining, {2}, betti(edge), points)
     assert verdict.betti_after == (2,) and verdict.failure == "betti numbers differ"
@@ -382,7 +371,7 @@ def test_compare_collapse_names_the_first_failed_check():
 
 def test_compare_collapse_cw_mode_uses_cellular_homology():
     plan = second_arg_collapse(complete(2), path_graph(3), FoldWitness(0, 2))
-    verdict = compare_collapse(plan.hom.poset, plan.sequence, plan.retained, "integer")
+    verdict = compare_collapse(plan.hom, plan.sequence, plan.retained, "integer")
     assert verdict.all_pass
     assert verdict.betti_before == (2,)
 
@@ -393,10 +382,10 @@ def test_compare_collapse_cw_mode_judges_a_stopped_replay():
     plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
     steps = plan.sequence.steps
     # two legal steps, then the first again, whose cells are gone
-    stopped = compare_collapse(plan.hom.poset, CollapseSequence("cw", steps[:2] + steps[:1]), plan.retained)
+    stopped = compare_collapse(plan.hom, CollapseSequence("cw", steps[:2] + steps[:1]), plan.retained)
     assert not stopped.valid and stopped.failed_step == 2
     assert stopped.betti_after == stopped.betti_before == (1, 0, 1)
-    partial = compare_collapse(plan.hom.poset, CollapseSequence("cw", steps[:1]), plan.retained, "integer")
+    partial = compare_collapse(plan.hom, CollapseSequence("cw", steps[:1]), plan.retained, "integer")
     assert partial.valid and not partial.remaining_matches
     assert partial.betti_after == partial.betti_before == (1, 0, 1)
 
@@ -406,29 +395,26 @@ def test_cw_survivors_are_a_down_set():
     # also where the replay stops
     plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
     steps = plan.sequence.steps
+    lower = plan.hom.poset.lower
     for prefix in (steps, steps[:1], steps[:2] + steps[:1]):
-        remaining, _ = execute_collapses(plan.hom.poset, CollapseSequence("cw", prefix))
-        assert remaining < set(plan.hom.poset.ids)
-        assert all(set(plan.hom.poset.lower[i]) <= remaining for i in remaining)
+        remaining, _ = execute_collapses(plan.hom, CollapseSequence("cw", prefix))
+        assert remaining < set(range(len(plan.hom)))
+        assert all(set(lower[i]) <= remaining for i in remaining)
 
 
-def _non_product_posets():
-    hom = enumerate_hom_cells(complete(2), complete(3)).poset
-    yield pytest.param(FacePoset(hom.ids, hom.covers, hom.dim_of), "not labelled", id="no-labels")
-    yield pytest.param(face_poset(full_triangle()), "not labelled", id="simplex-labels")
-    odd = dict(hom.label_of)
-    odd[hom.ids[-1]] = "ab"
-    yield pytest.param(FacePoset(hom.ids, hom.covers, hom.dim_of, odd), "not labelled", id="string-label")
-    point = next(i for i in hom.ids if hom.dim_of[i] == 0)
-    yield pytest.param(hom.restrict(set(hom.ids) - {point}), "lacks the face", id="face-absent")
-    loose = FacePoset(hom.ids, hom.covers[1:], hom.dim_of, hom.label_of)
-    yield pytest.param(loose, "not the faces of its label", id="cover-missing")
-
-
-@pytest.mark.parametrize("ambient, message", list(_non_product_posets()))
-def test_compare_collapse_cw_mode_rejects_non_product_cells(ambient, message):
-    with pytest.raises(ValueError, match=message):
-        compare_collapse(ambient, CollapseSequence("cw", ()), set(ambient.ids))
+@pytest.mark.parametrize("poset", [
+    # the Hom poset carries no labels; a simplex's face poset carries the simplices as labels
+    pytest.param(enumerate_hom_cells(complete(2), complete(3)).poset, id="no-labels"),
+    pytest.param(face_poset(full_triangle()), id="simplex-labels"),
+])
+def test_betti_and_replay_reject_a_face_poset(poset):
+    # cellular homology and the cw replay read a HomComplex's cells, never poset labels
+    with pytest.raises(TypeError):
+        betti(poset)
+    with pytest.raises(TypeError):
+        execute_collapses(poset, CollapseSequence("cw", ()))
+    with pytest.raises(TypeError):
+        compare_collapse(poset, CollapseSequence("cw", ()), set(poset.ids))
 
 
 @pytest.mark.parametrize("g, h", [
@@ -439,7 +425,11 @@ def test_compare_collapse_cw_mode_rejects_non_product_cells(ambient, message):
 ])
 def test_cellular_boundary_of_boundary_vanishes(g, h):
     # the product-rule signs compose to zero over the integers
-    sizes, boundary = _cellular_chains(enumerate_hom_cells(g, h).poset)
+    _assert_boundary_squares_to_zero(enumerate_hom_cells(g, h))
+
+
+def _assert_boundary_squares_to_zero(cells):
+    sizes, boundary = _cellular_chains(cells)
     assert len(sizes) > 3
     for d in range(2, len(sizes)):
         below = boundary(d - 1, True)
@@ -451,16 +441,40 @@ def test_cellular_boundary_of_boundary_vanishes(g, h):
             assert not any(acc.values())
 
 
-def _product_poset(*factors):
-    """Cells of a product of simplicial complexes, each labelled by its
-    tuple of simplices; covers add one vertex to one factor."""
-    cells = list(itertools.product(*(sorted(x.simplices) for x in factors)))
+def _product(*factors):
+    """A product of simplicial complexes as a HomComplex, one vertex bitmask
+    per factor in each cell, and its face poset, whose covers add one
+    vertex to one factor.  The complex's graphs only size its cells: it is
+    read through facets(), never through upper_covers()."""
+    simplices = [sorted(x.simplices) for x in factors]
+    cells = list(itertools.product(*simplices))
     index = {c: k for k, c in enumerate(cells)}
     covers = [
         (index[c[:x] + (a[:j] + a[j + 1 :],) + c[x + 1 :]], index[c])
         for c in cells for x, a in enumerate(c) if len(a) > 1 for j in range(len(a))
     ]
-    return FacePoset(range(len(cells)), covers, labels=dict(enumerate(cells)))
+    masks = tuple(tuple(sum(1 << v for v in a) for a in c) for c in cells)
+    width = max(v for x in factors for v in x.vertices()) + 1
+    hom = HomComplex(edgeless(len(factors)), edgeless(width), masks, {c: k for k, c in enumerate(masks)})
+    return hom, FacePoset(range(len(cells)), covers)
+
+
+SPACES = {
+    "rp2": lambda: SimplicialComplex.from_facets(RP2_FACETS),
+    "segment": lambda: SimplicialComplex.from_facets([(0, 1)]),
+    "circle": hollow_triangle,
+}
+
+
+@pytest.mark.parametrize("factors", [
+    pytest.param(("rp2", "segment"), id="RP2xI"),
+    pytest.param(("circle", "circle", "segment"), id="torusxI"),
+    pytest.param(("rp2", "circle"), id="RP2xS1"),
+])
+def test_product_cell_boundary_of_boundary_vanishes(factors):
+    # the signs of facets() compose to zero on cells that no Hom enumerates
+    cells, _ = _product(*(SPACES[f]() for f in factors))
+    _assert_boundary_squares_to_zero(cells)
 
 
 @pytest.mark.parametrize("factors, integral", [
@@ -469,22 +483,17 @@ def _product_poset(*factors):
     pytest.param(("circle", "circle"), BettiVector((1, 2, 1), ()), id="torus"),
 ])
 def test_cellular_betti_matches_order_complex_with_torsion(factors, integral):
-    spaces = {
-        "rp2": SimplicialComplex.from_facets(RP2_FACETS),
-        "segment": SimplicialComplex.from_facets([(0, 1)]),
-        "circle": hollow_triangle(),
-    }
-    p = _product_poset(*(spaces[f] for f in factors))
-    oracle = order_complex(p)
+    cells, poset = _product(*(SPACES[f]() for f in factors))
+    oracle = order_complex(poset)
     for coefficients in ("gf2", "integer"):
-        assert betti(p, coefficients) == betti(oracle, coefficients)
-    assert betti(p, "integer") == integral
+        assert betti(cells, coefficients) == betti(oracle, coefficients)
+    assert betti(cells, "integer") == integral
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_hom_k2_kn_is_a_sphere(n):
     # Hom(K2, Kn) is homotopy equivalent to S^(n-2) (Babson-Kozlov)
-    p = enumerate_hom_cells(complete(2), complete(n)).poset
+    p = enumerate_hom_cells(complete(2), complete(n))
     sphere = (1,) + (0,) * (n - 3) + (1,)
     assert betti(p).betti == sphere
     integral = betti(p, "integer")
@@ -493,7 +502,7 @@ def test_hom_k2_kn_is_a_sphere(n):
 
 def test_hom_c5_k4_is_projective_space():
     # Hom(C5, K4) has the homology of RP^3 (Csorba-Lutz): Z/2 in H_1
-    p = enumerate_hom_cells(cycle(5), complete(4)).poset
+    p = enumerate_hom_cells(cycle(5), complete(4))
     integral = betti(p, "integer")
     assert integral.betti == (1, 0, 0, 1)
     assert integral.torsion == ((), (2,))
