@@ -1,8 +1,10 @@
 """Independent verification: collapse execution and homology.
 
 The executor replays elementary collapse steps against the stated ambient
-complex, maintaining upper-cover counts so that freeness of a face is an
-O(1) check at the moment the step fires.  Homology comes from scratch, off
+complex in one pass over its cover incidences.  It stamps each cell with
+the index of the step that removes it, and a replay is legal exactly when
+no cell outlives one of its faces, so no coface counts are kept and only a
+failing step is checked again, to name it.  Homology comes from scratch, off
 one sparse boundary per dimension, either of a simplicial complex or of
 the cellular chain complex of a HomComplex, with the signed faces of
 HomComplex.facets().  Both feed one rank loop that shares no code path
@@ -15,6 +17,7 @@ is judged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .closure import CollapseSequence
@@ -25,7 +28,9 @@ from .posets import SimplicialComplex, order_complex
 
 @dataclass
 class CollapseReport:
-    """Step-by-step outcome of replaying a collapse sequence."""
+    """Outcome of replaying a collapse sequence: whether every step was
+    legal, the first illegal step and why (detail), and the dimensions of
+    the free cell and coface of each step before it."""
 
     valid: bool
     failed_step: int | None
@@ -38,68 +43,84 @@ def execute_collapses(ambient, seq: CollapseSequence):
     mode or a HomComplex, whose cell ids the steps name, for cw mode.
 
     A step (free, coface) is legal when both are present, coface covers
-    free, free has no other remaining coface, and coface is maximal.  On
-    the first illegal step the replay stops; the report names the step and
-    an offending cell.  Returns (surviving cells, CollapseReport): a set of
-    simplices in simplicial mode, of element ids in cw mode.  Legal steps
-    remove free pairs, so the survivors are a subcomplex (a down-set).
-    Any other ambient, a FacePoset included, raises TypeError.
+    free, free has no other remaining coface, and coface is maximal.  Each
+    cell is stamped with the index of the step that names it, up to the
+    first step whose pair is absent, was named before, or is not a cover;
+    a cell never named counts as stamped last.  Each cell's faces are read
+    once, as the cell is stamped or after the steps, and a face stamped
+    before its cell fails the replay at the face's stamp; the earliest
+    failure wins.  This is exact: while the earlier steps are legal, the
+    cells left at step i are those stamped i or later, so step i is legal
+    exactly when its pair is a present cover and no other coface of free,
+    and no coface of coface, is stamped later.  Only the failing step is
+    checked again, against the cells left at it, to name an offending cell.
+
+    Returns (surviving cells, CollapseReport): a set of simplices in
+    simplicial mode, of element ids in cw mode.  Legal steps remove free
+    pairs, so the survivors are a subcomplex (a down-set).  Any other
+    ambient, a FacePoset included, raises TypeError.
     """
     if isinstance(ambient, SimplicialComplex):
         if seq.mode != "simplicial":
             raise ValueError("cw sequence cannot run on a simplicial complex")
         cells = ambient.simplices
-        steps = [(tuple(free), tuple(cof)) for free, cof in seq.steps]
+        name = tuple  # a step may give its simplices as lists
 
         def faces(s):
-            return [s[:k] + s[k + 1 :] for k in range(len(s))] if len(s) > 1 else ()
+            return combinations(s, len(s) - 1)
 
         def dim(s):
             return len(s) - 1
     elif isinstance(ambient, HomComplex):
         if seq.mode != "cw":
             raise ValueError("simplicial sequence cannot run on a hom complex")
-        cells = range(len(ambient))
-        steps = seq.steps
-        faces = [tuple(f for f, _ in fs) for fs in ambient.facets()].__getitem__
+        cells = frozenset(range(len(ambient)))
+        faces = [[f for f, _ in fs] for fs in ambient.facets()].__getitem__
+
+        def name(i):
+            return i
 
         def dim(i):
             return cell_dim(ambient.cells[i])
     else:
         raise TypeError(f"cannot collapse a {type(ambient).__name__}")
 
-    remaining = set(cells)
-    up_count = dict.fromkeys(remaining, 0)
+    stamp: dict = {}
+    get = stamp.get
+    failed = len(seq.steps)
+    unstamped = repeat(failed)
+    for i, (free, cof) in enumerate(seq.steps):
+        free, cof = name(free), name(cof)
+        if free in stamp or cof in stamp or free not in cells or cof not in cells or free not in faces(cof):
+            failed = min(failed, i)
+            break
+        # every face stamped so far was stamped before i
+        first = min(map(get, chain(faces(free), faces(cof)), unstamped))
+        if first < failed:
+            failed = first
+        stamp[free] = stamp[cof] = i
+    remaining = set(cells.difference(stamp))
     for c in remaining:
-        for f in faces(c):
-            up_count[f] += 1
+        first = min(map(get, faces(c), unstamped), default=failed)
+        if first < failed:
+            failed = first
 
-    def first_coface(face, skip=None):
-        # failure path only: a full scan keeps the hot loop free of coface indexes
-        return min(c for c in remaining if c != skip and face in faces(c))
-
-    dims: list[tuple[int, int]] = []
-    for idx, (free, cof) in enumerate(steps):
-        problem = None
-        if free not in remaining:
-            problem = f"free cell {free} is absent"
-        elif cof not in remaining:
-            problem = f"coface {cof} is absent"
-        elif free not in (cof_faces := faces(cof)):
-            problem = f"{cof} does not cover {free}"
-        elif up_count[free] != 1:
-            problem = f"cell {free} is not free: {first_coface(free, cof)} also covers it"
-        elif up_count[cof] != 0:
-            problem = f"coface {cof} is not maximal: {first_coface(cof)} remains"
-        if problem is not None:
-            report = CollapseReport(False, idx, tuple(dims), f"step {idx}: {problem}")
-            return remaining, report
-        dims.append((dim(free), dim(cof)))
-        remaining.discard(cof)
-        remaining.discard(free)
-        for f in (*cof_faces, *faces(free)):
-            up_count[f] -= 1
-    return remaining, CollapseReport(True, None, tuple(dims))
+    dims = tuple((dim(free), dim(cof)) for free, cof in islice(seq.steps, failed))
+    if failed == len(seq.steps):
+        return remaining, CollapseReport(True, None, dims)
+    remaining.update(c for c, at in stamp.items() if at >= failed)  # the cells left at the failing step
+    free, cof = map(name, seq.steps[failed])
+    if free not in remaining:
+        problem = f"free cell {free} is absent"
+    elif cof not in remaining:
+        problem = f"coface {cof} is absent"
+    elif free not in faces(cof):
+        problem = f"{cof} does not cover {free}"
+    elif others := [c for c in remaining if c != cof and free in faces(c)]:
+        problem = f"cell {free} is not free: {min(others)} also covers it"
+    else:
+        problem = f"coface {cof} is not maximal: {min(c for c in remaining if cof in faces(c))} remains"
+    return remaining, CollapseReport(False, failed, dims, f"step {failed}: {problem}")
 
 
 @dataclass(frozen=True)

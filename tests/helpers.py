@@ -2,14 +2,15 @@
 
 The oracles here deliberately avoid the library's own data paths: subset
 enumeration over itertools, reachability by repeated squaring over cover
-lists, homomorphism search over raw product loops.  The partition-lattice
-fixture at the end is a worked closure example for the collapse tests.
+lists, homomorphism search over raw product loops, a collapse replay that
+fires one step at a time.  The partition-lattice fixture at the end is a
+worked closure example for the collapse tests.
 """
 
 import itertools
 import json
 
-from homcollapse import FacePoset, Graph, HomComplex, PosetMap
+from homcollapse import CollapseReport, FacePoset, Graph, HomComplex, PosetMap, SimplicialComplex, cell_dim
 
 
 def as_read(value):
@@ -69,6 +70,63 @@ def sub_complex(hom, ids):
     their own, renumbered in id order; it is read through facets() only."""
     cells = tuple(hom.cells[i] for i in sorted(ids))
     return HomComplex(hom.domain, hom.codomain, cells, {c: k for k, c in enumerate(cells)})
+
+
+def reference_replay(ambient, seq):
+    """execute_collapses step by step, as the oracle for its one-pass replay.
+
+    Counts the remaining cofaces of every cell up front; each step checks
+    its pair against the remaining cells and those counts, in the order and
+    with the wording execute_collapses reports, then removes the pair and
+    decrements the counts of their faces.  Returns (survivors, report).
+    """
+    if isinstance(ambient, SimplicialComplex):
+        cells = ambient.simplices
+        steps = [(tuple(free), tuple(cof)) for free, cof in seq.steps]
+
+        def faces(s):
+            return [s[:k] + s[k + 1 :] for k in range(len(s))] if len(s) > 1 else ()
+
+        def dim(s):
+            return len(s) - 1
+    else:
+        cells = range(len(ambient))
+        steps = seq.steps
+        faces = [tuple(f for f, _ in fs) for fs in ambient.facets()].__getitem__
+
+        def dim(i):
+            return cell_dim(ambient.cells[i])
+
+    remaining = set(cells)
+    up_count = dict.fromkeys(remaining, 0)
+    for c in remaining:
+        for f in faces(c):
+            up_count[f] += 1
+
+    def first_coface(face, skip=None):
+        return min(c for c in remaining if c != skip and face in faces(c))
+
+    dims = []
+    for idx, (free, cof) in enumerate(steps):
+        problem = None
+        if free not in remaining:
+            problem = f"free cell {free} is absent"
+        elif cof not in remaining:
+            problem = f"coface {cof} is absent"
+        elif free not in (cof_faces := faces(cof)):
+            problem = f"{cof} does not cover {free}"
+        elif up_count[free] != 1:
+            problem = f"cell {free} is not free: {first_coface(free, cof)} also covers it"
+        elif up_count[cof] != 0:
+            problem = f"coface {cof} is not maximal: {first_coface(cof)} remains"
+        if problem is not None:
+            return remaining, CollapseReport(False, idx, tuple(dims), f"step {idx}: {problem}")
+        dims.append((dim(free), dim(cof)))
+        remaining.discard(cof)
+        remaining.discard(free)
+        for f in (*cof_faces, *faces(free)):
+            up_count[f] -= 1
+    return remaining, CollapseReport(True, None, tuple(dims))
 
 
 def random_graph(rng, n, p=0.5, loops=False):

@@ -481,6 +481,8 @@ TAMPERED_STEPS = {
             "drop": (lambda s: s[1:], 1, "step 1: cell (1,) is not free: (0, 1) also covers it"),
             "retarget": (lambda s: ((s[0][0], (0, 11)),) + s[1:],
                          0, "step 0: (0, 11) does not cover (0, 1)"),
+            "duplicate": (lambda s: s[:1] + s, 1, "step 1: free cell (0, 1) is absent"),
+            "reverse": (lambda s: (s[0][::-1],) + s[1:], 0, "step 0: (0, 1) does not cover (0, 1, 11)"),
         },
     ),
     # Hom(K2, paw), fold 3 onto 0, on the cells: 19 = ({3}, {2}) lies in
@@ -492,12 +494,14 @@ TAMPERED_STEPS = {
             "swap": (lambda s: (s[1], s[0]) + s[2:], 0, "step 0: cell 19 is not free: 11 also covers it"),
             "drop": (lambda s: s[:2] + s[3:], 2, "step 2: cell 18 is not free: 17 also covers it"),
             "retarget": (lambda s: ((s[0][0], 6),) + s[1:], 0, "step 0: 6 does not cover 11"),
+            "duplicate": (lambda s: s[:1] + s, 1, "step 1: free cell 11 is absent"),
+            "reverse": (lambda s: (s[0][::-1],) + s[1:], 0, "step 0: 11 does not cover 4"),
         },
     ),
 }
 
 
-@pytest.mark.parametrize("tamper", ["swap", "drop", "retarget"])
+@pytest.mark.parametrize("tamper", ["swap", "drop", "retarget", "duplicate", "reverse"])
 @pytest.mark.parametrize("side", ["first", "second"])
 def test_verify_names_the_failed_step_of_a_tampered_plan(graphs, capsys, monkeypatch, tmp_path, side, tamper):
     expected_steps, tampers = TAMPERED_STEPS[side]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -19,18 +20,30 @@ from homcollapse import (
     enumerate_hom_cells,
     execute_collapses,
     face_poset,
+    find_folds,
+    first_arg_collapse,
     gf2_rank,
     image_subposet,
     order_complex,
     random_descending_closure,
     random_poset,
+    ResourceLimitError,
     second_arg_collapse,
     smith_invariant_factors,
 )
 
 from homcollapse.homology import CollapseReport, _cellular_chains, _judge
 
-from helpers import as_read, complete, cycle, edgeless, k4_pendant, path_graph
+from helpers import (
+    as_read,
+    complete,
+    cycle,
+    edgeless,
+    k4_pendant,
+    path_graph,
+    random_graph,
+    reference_replay,
+)
 
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -312,6 +325,78 @@ def test_execute_rejection_branches(ambient, mode, steps, detail):
     assert len(report.step_dims) == 1
     before = set(ambient.simplices if mode == "simplicial" else range(len(ambient)))
     assert remaining == before - set(steps[0])
+
+
+def _tampered(rng, steps, cells):
+    """The steps as built, then each kind of tampering at random positions."""
+    yield "as built", steps
+    if len(steps) < 2:
+        return
+    i, j = sorted(rng.sample(range(len(steps)), 2))
+    free, cof = steps[i]
+    yield "swap", steps[:i] + (steps[j],) + steps[i + 1 : j] + (steps[i],) + steps[j + 1 :]
+    yield "drop", steps[:i] + steps[i + 1 :]
+    yield "repeat", steps[: j + 1] + (steps[i],) + steps[j + 1 :]
+    yield "exchange", steps[:i] + ((cof, free),) + steps[i + 1 :]
+    yield "retarget", steps[:i] + ((free, rng.choice(cells)),) + steps[i + 1 :]
+    cell = rng.choice((free, cof))
+    yield "same cell", steps[:i] + ((cell, cell),) + steps[i + 1 :]
+
+
+def test_replay_matches_the_step_by_step_reference():
+    # the one-pass replay against reference_replay, which counts remaining
+    # cofaces and fires one step at a time, on plans of both sides of random
+    # (G, H) pairs with loops, as built and tampered
+    rng = random.Random(2027)
+    problems = {"simplicial": set(), "cw": set()}
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 3), 0.7, loops=True)
+        h = random_graph(rng, rng.randint(2, 4), 0.7, loops=True)
+        side = rng.choice(("first", "second"))
+        folds = find_folds(g if side == "first" else h)
+        if not folds:
+            continue
+        w = rng.choice(folds)
+        if side == "first":
+            try:
+                plan = first_arg_collapse(g, h, w, max_cells=3000)
+            except ResourceLimitError:
+                continue
+            ambient = order_complex(plan.hom.poset)
+            cells = sorted(ambient.simplices)
+        else:
+            plan = second_arg_collapse(g, h, w)
+            ambient, cells = plan.hom, range(len(plan.hom))
+        mode = plan.sequence.mode
+        for kind, steps in _tampered(rng, plan.sequence.steps, cells):
+            seq = CollapseSequence(mode, steps)
+            got, want = execute_collapses(ambient, seq), reference_replay(ambient, seq)
+            assert got == want, (kind, g, h, w)
+            assert want[1].valid or kind != "as built"
+            if not want[1].valid:
+                problems[mode].add(re.sub(r"[0-9(), ]+", " ", want[1].detail.split(": ", 1)[1]).strip())
+    # in both modes the tampered plans reached every kind of illegal step but
+    # "coface is not maximal", which a replay on a closed complex never reaches
+    # (a coface over free below a remaining cell leaves free a second coface)
+    for mode, seen in problems.items():
+        assert seen == {"free cell is absent", "coface is absent", "does not cover", "cell is not free: also covers it"}, mode
+
+
+def test_replay_reads_simplices_given_as_lists():
+    plan = first_arg_collapse(path_graph(3), complete(3), FoldWitness(0, 2))
+    ambient, steps = order_complex(plan.hom.poset), plan.sequence.steps
+    details = []
+    for tuples in (steps, steps[:1] + steps, steps[1:]):  # as built, step 0 repeated, step 0 dropped
+        lists = tuple(([*free], [*cof]) for free, cof in tuples)
+        want = execute_collapses(ambient, CollapseSequence("simplicial", tuples))
+        assert execute_collapses(ambient, CollapseSequence("simplicial", lists)) == want
+        details.append(want[1].detail)
+    # the report names the cells as tuples either way
+    assert details == [
+        None,
+        "step 1: free cell (0, 1) is absent",
+        "step 1: cell (1,) is not free: (0, 1) also covers it",
+    ]
 
 
 def test_compare_collapse_pass_and_failure_modes():
