@@ -115,7 +115,8 @@ def collapse_sequence_from_closure(phi: PosetMap, direction: str) -> CollapseSeq
         joins = [()] + p.chains(within=above(x) & remaining)
         low = [()] + p.chains(within=below(fx) & remaining)
         sims = [tuple(sorted(cu + cd)) for cu in joins for cd in low]
-        sims.sort(key=lambda s: (-len(s), s))
+        sims.sort()
+        sims.sort(key=len, reverse=True)  # stable: by falling length, then as sorted above
         for sigma in sims:
             steps.append((tuple(sorted(sigma + (x,))), tuple(sorted(sigma + (x, fx)))))
         remaining.discard(x)

@@ -63,7 +63,9 @@ class HomComplex:
         At position x the vertices that can be added are those adjacent to
         every vertex in the sets of x's other neighbours; at a looped x they
         must also be looped and adjacent to all of x's own set, as
-        enumerate_hom_cells requires, so every cover is a cell.
+        enumerate_hom_cells requires, so every cover is a cell of the whole
+        Hom.  When the cells are only a down-set of it, a cover that is not
+        among them is left out.
         """
         g, h, index = self.domain, self.codomain, self.cell_index
         full = (1 << h.n) - 1
@@ -84,7 +86,10 @@ class HomComplex:
                     head, tail = cell[:x], cell[x + 1 :]
                     while free:
                         low = free & -free
-                        ups.append(index[head + (m | low,) + tail])
+                        try:
+                            ups.append(index[head + (m | low,) + tail])
+                        except KeyError:  # a cover outside a down-set of the cells
+                            pass
                         free ^= low
             ups.sort()
             yield tuple(ups)

@@ -17,13 +17,13 @@ is judged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, filterfalse, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .closure import CollapseSequence
 from .graphs import apply_fold
 from .hom import HomComplex, cell_dim, enumerate_hom_cells, induced_contravariant, induced_covariant
-from .posets import SimplicialComplex, order_complex
+from .posets import FacePoset, SimplicialComplex, order_complex
 
 
 @dataclass
@@ -39,8 +39,9 @@ class CollapseReport:
 
 
 def execute_collapses(ambient, seq: CollapseSequence):
-    """Replay seq on ambient, which is a SimplicialComplex for simplicial
-    mode or a HomComplex, whose cell ids the steps name, for cw mode.
+    """Replay seq on ambient: in simplicial mode a SimplicialComplex, or a
+    FacePoset standing for its order complex; in cw mode a HomComplex,
+    whose cell ids the steps name.
 
     A step (free, coface) is legal when both are present, coface covers
     free, free has no other remaining coface, and coface is maximal.  Each
@@ -55,19 +56,29 @@ def execute_collapses(ambient, seq: CollapseSequence):
     and no coface of coface, is stamped later.  Only the failing step is
     checked again, against the cells left at it, to name an offending cell.
 
+    A FacePoset's order complex is never built when the steps name only
+    chains: the steps are stamped unchecked for presence, and the chains
+    are then streamed once from chains_by_minimum, each one never named
+    kept as a survivor.  If fewer chains are met among the stamped cells
+    than were stamped, a step named a tuple that is no chain, and the
+    replay runs again on order_complex(ambient), so the outcome is the
+    same either way.
+
     Returns (surviving cells, CollapseReport): a set of simplices in
     simplicial mode, of element ids in cw mode.  Legal steps remove free
-    pairs, so the survivors are a subcomplex (a down-set).  Any other
-    ambient, a FacePoset included, raises TypeError.
+    pairs, so the survivors are a subcomplex (a down-set).  A FacePoset
+    with a cw sequence, or any other ambient, raises TypeError.
     """
-    if isinstance(ambient, SimplicialComplex):
+    # a poset's cells are its chains, streamed once after the steps
+    stream = isinstance(ambient, FacePoset) and seq.mode == "simplicial"
+    if stream or isinstance(ambient, SimplicialComplex):
         if seq.mode != "simplicial":
             raise ValueError("cw sequence cannot run on a simplicial complex")
-        cells = ambient.simplices
+        cells = None if stream else ambient.simplices
         name = tuple  # a step may give its simplices as lists
 
         def faces(s):
-            return combinations(s, len(s) - 1)
+            return combinations(s, len(s) - 1) if s else ()  # a step may name (), which has no faces
 
         def dim(s):
             return len(s) - 1
@@ -91,7 +102,12 @@ def execute_collapses(ambient, seq: CollapseSequence):
     unstamped = repeat(failed)
     for i, (free, cof) in enumerate(seq.steps):
         free, cof = name(free), name(cof)
-        if free in stamp or cof in stamp or free not in cells or cof not in cells or free not in faces(cof):
+        if (
+            free in stamp
+            or cof in stamp
+            or not stream and (free not in cells or cof not in cells)  # a poset's chains are met later
+            or free not in faces(cof)
+        ):
             failed = min(failed, i)
             break
         # every face stamped so far was stamped before i
@@ -99,13 +115,22 @@ def execute_collapses(ambient, seq: CollapseSequence):
         if first < failed:
             failed = first
         stamp[free] = stamp[cof] = i
-    remaining = set(cells.difference(stamp))
+    if stream:
+        remaining, chains = set(), 0
+        for group in ambient.chains_by_minimum():
+            chains += len(group)
+            remaining.update(filterfalse(stamp.__contains__, group))
+        if chains - len(remaining) < len(stamp):  # a stamped name is no chain: judge it on the built complex
+            return execute_collapses(order_complex(ambient), seq)
+    else:
+        remaining = set(cells.difference(stamp))
     for c in remaining:
         first = min(map(get, faces(c), unstamped), default=failed)
         if first < failed:
             failed = first
 
-    dims = tuple((dim(free), dim(cof)) for free, cof in islice(seq.steps, failed))
+    shared: dict = {}  # one (dim, dim) tuple per distinct pair
+    dims = tuple(shared.setdefault(d, d) for d in ((dim(f), dim(c)) for f, c in islice(seq.steps, failed)))
     if failed == len(seq.steps):
         return remaining, CollapseReport(True, None, dims)
     remaining.update(c for c, at in stamp.items() if at >= failed)  # the cells left at the failing step
@@ -340,15 +365,17 @@ def compare_collapse(
     is a HomComplex, the Betti numbers are cellular, and the survivors are
     judged as the HomComplex of the remaining cells, which form a
     subcomplex even when the replay stops early (each legal step removes a
-    free pair).
+    free pair).  A FacePoset, which execute_collapses replays on, has no
+    Betti numbers here and raises TypeError.
     """
+    before = betti(ambient, coefficients)  # first, so a FacePoset raises TypeError before any replay
     remaining, report = execute_collapses(ambient, seq)
     if isinstance(ambient, SimplicialComplex):
         survivors = SimplicialComplex(remaining, check=False)
     else:
         cells = tuple(ambient.cells[i] for i in sorted(remaining))
         survivors = HomComplex(ambient.domain, ambient.codomain, cells, {c: k for k, c in enumerate(cells)})
-    before, after = betti(ambient, coefficients), betti(survivors, coefficients)
+    after = betti(survivors, coefficients)
     return _judge(report, remaining, expected_remaining, before, after)
 
 
@@ -361,25 +388,28 @@ def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
     and Hom(K, G - v) for side "second", whose cells carry into Hom(K, G)
     along the inclusion.  The carried cells must be target_cells one to
     one and span retained, else remaining_matches is False.  The steps
-    replay on the order complex of the cell poset (first) or on the
-    HomComplex plan.hom itself (second), and the cellular Betti numbers
-    of plan.hom and of the folded Hom are compared.  Side second builds no
-    face poset.
+    replay on the cell poset plan.hom.poset, standing for its order
+    complex, whose chains are streamed and never built unless a step names
+    something that is no chain (first), or on the HomComplex plan.hom
+    itself (second), and the cellular Betti numbers of plan.hom and of the
+    folded Hom are compared.  Side second builds no face poset.
     """
     hom, first = plan.hom, plan.side == "first"
     small, retraction, inclusion = apply_fold(hom.domain if first else hom.codomain, plan.witness)
     pair = (small, hom.codomain) if first else (hom.domain, small)
     folded = enumerate_hom_cells(*pair, max(len(hom.cells), 1))  # both folded Homs embed in hom
     if first:
-        carried, ambient = induced_contravariant(retraction, folded, hom), order_complex(hom.poset)
+        carried, ambient = induced_contravariant(retraction, folded, hom), hom.poset
         cause = "target cells do not pull back one-to-one onto Hom(G - v, H)"
     else:
         carried, ambient = induced_covariant(inclusion, folded, hom), hom
         cause = "target cells are not Hom(K, G - v) pushed forward one-to-one"
     cells = sorted(carried.values())
-    # the sequence's currency: chains of the carried cells (first) or the cells themselves
-    spans = frozenset(hom.poset.chains(within=cells) if first else cells)
-    on_target = cells == sorted(plan.target_cells) and plan.retained == spans
+    # what the carried cells span, in the sequence's currency: their chains
+    # (first) or the cells themselves; not held through the replay
+    on_target = cells == sorted(plan.target_cells) and plan.retained == frozenset(
+        hom.poset.chains(within=cells) if first else cells
+    )
     remaining, report = execute_collapses(ambient, plan.sequence)
     before, after = betti(hom, coefficients), betti(folded, coefficients)
     return _judge(report, remaining, plan.retained, before, after, None if on_target else cause)

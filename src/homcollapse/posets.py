@@ -152,14 +152,21 @@ class FacePoset:
         return a == b or b in self.above(a)
 
     def chains(self, within: Iterable[int] | None = None) -> list[Simplex]:
-        """All nonempty chains as id-sorted tuples.
+        """All nonempty chains of within (all ids by default) as id-sorted
+        tuples: the lists that chains_by_minimum, the one chain enumerator,
+        yields, joined in order.  The simplicial replay on a poset streams
+        that enumerator instead of building this list."""
+        return [c for group in self.chains_by_minimum(within) for c in group]
+
+    def chains_by_minimum(self, within: Iterable[int] | None = None):
+        """For each x of within (all ids by default) in id order, the list
+        of nonempty chains of within whose minimum is x, as id-sorted tuples.
 
         Each chain is grown upward from its minimum, so every chain is
-        produced exactly once.
+        produced exactly once, and only one minimum's chains are held.
         """
         wanted = set(self.ids) if within is None else {i for i in within if i in self.upper}
         succ = {x: sorted(self.above(x) & wanted) for x in wanted}
-        out: list[Simplex] = []
 
         def grow(chain: Simplex, last: int):
             for nxt in succ[last]:
@@ -168,9 +175,9 @@ class FacePoset:
                 grow(ext, nxt)
 
         for x in sorted(wanted):
-            out.append((x,))
+            out: list[Simplex] = [(x,)]
             grow((x,), x)
-        return out
+            yield out
 
     def chain_counts(self, max_chains=math.inf) -> tuple[int, ...]:
         """The order complex's f-vector, counted unbuilt: entry k counts the

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,13 +18,14 @@ from homcollapse import (
     first_arg_collapse,
     induced_contravariant,
     induced_covariant,
+    order_complex,
     phi_psi_maps,
     second_arg_collapse,
     verify_acyclic_matching,
     verify_closure_operator,
     verify_plan,
 )
-from helpers import as_read, complete, loop_fold_pair, path_graph, random_graph, star
+from helpers import as_read, complete, cycle, loop_fold_pair, path_graph, random_graph, star
 
 
 def cells_named(hom):
@@ -63,6 +66,24 @@ def test_first_arg_collapse_path_triangle():
     verdict = verify_plan(plan)
     assert verdict.all_pass
     assert verdict.betti_before == (1, 1)  # a circle, as for the smaller complex
+
+
+def test_verify_first_holds_no_order_complex():
+    # judging the 12,924 steps on Hom(C4, K4) peaks below building the
+    # order complex of its cell poset, which the replay streams instead
+    plan = first_arg_collapse(cycle(4), complete(4), FoldWitness(0, 2))
+    peaks = []
+    for build in (lambda: order_complex(plan.hom.poset), lambda: verify_plan(plan)):
+        gc.collect()  # empties the free lists, so both peaks count every object made
+        tracemalloc.start()
+        try:
+            result = build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(plan.sequence) == 12924 and result.all_pass
+    complex_peak, verify_peak = peaks
+    assert verify_peak < complex_peak, peaks
 
 
 def test_first_arg_collapse_matches_folded_complex():

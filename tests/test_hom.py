@@ -37,6 +37,7 @@ from helpers import (
     loop_vertex,
     path_graph,
     random_graph,
+    sub_complex,
 )
 
 
@@ -262,6 +263,27 @@ def test_lazy_poset_matches_the_validating_constructor():
         assert ups == [ref.upper[i] for i in ids]
         read = watched.cell_index.read
         assert all(c in hom.cell_index for c in read) and len(read) == sum(map(len, ups))
+
+
+def test_covers_of_a_down_set_are_the_covers_among_its_cells():
+    # a HomComplex of a down-set of cells, as compare_collapse builds for cw
+    # survivors, has as covers the whole Hom's covers between kept cells
+    plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
+    cases = [(plan.hom, plan.retained)]
+    rng = random.Random(61)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 3), rng.random(), loops=True)
+        h = random_graph(rng, rng.randint(1, 4), rng.random(), loops=True)
+        hom = enumerate_hom_cells(g, h)
+        tops = [i for i in range(len(hom)) if rng.random() < 0.3]
+        cases.append((hom, set(tops).union(*map(hom.poset.below, tops))))
+    for hom, keep in cases:
+        sub = sub_complex(hom, keep)
+        renumber = {i: k for k, i in enumerate(sorted(keep))}
+        want = sorted((renumber[a], renumber[b]) for a, b in hom.poset.covers if a in keep and b in keep)
+        assert list(sub.poset.covers) == want
+        assert as_read(sub.to_json())["covers"] == as_read(want)
+    assert len(cases[0][1]) < len(cases[0][0])  # the fold's retained cells are a proper down-set
 
 
 class WatchedIndex(dict):

@@ -32,6 +32,7 @@ from homcollapse import (
     smith_invariant_factors,
 )
 
+from homcollapse import homology
 from homcollapse.homology import CollapseReport, _cellular_chains, _judge
 
 from helpers import (
@@ -327,8 +328,10 @@ def test_execute_rejection_branches(ambient, mode, steps, detail):
     assert remaining == before - set(steps[0])
 
 
-def _tampered(rng, steps, cells):
-    """The steps as built, then each kind of tampering at random positions."""
+def _tampered(rng, steps, cells, poset=None):
+    """The steps as built, then each kind of tampering at random positions;
+    given the poset of a simplicial plan, also two that name a tuple that
+    is no chain of it."""
     yield "as built", steps
     if len(steps) < 2:
         return
@@ -341,14 +344,29 @@ def _tampered(rng, steps, cells):
     yield "retarget", steps[:i] + ((free, rng.choice(cells)),) + steps[i + 1 :]
     cell = rng.choice((free, cof))
     yield "same cell", steps[:i] + ((cell, cell),) + steps[i + 1 :]
+    if poset is None:
+        return
+    # both are stamped: step i's cells and (a,) are named by no earlier step
+    yield "unsorted", steps[:i] + ((free[::-1], cof[::-1]),) + steps[i + 1 :]
+    named = set(itertools.chain.from_iterable(steps[:i]))
+    unnamed = [a for a in poset.ids if (a,) not in named]
+    incomparable = ((a, b) for a in unnamed for b in poset.ids if not (poset.le(a, b) or poset.le(b, a)))
+    a, b = next(incomparable, (None, None))
+    if a is not None:
+        yield "incomparable", steps[:i] + (((a,), tuple(sorted((a, b)))),) + steps[i + 1 :]
 
 
-def test_replay_matches_the_step_by_step_reference():
+def test_replay_matches_the_step_by_step_reference(monkeypatch):
     # the one-pass replay against reference_replay, which counts remaining
     # cofaces and fires one step at a time, on plans of both sides of random
-    # (G, H) pairs with loops, as built and tampered
+    # (G, H) pairs with loops, as built and tampered; side-first plans replay
+    # a second time on their poset, whose order complex is built only when a
+    # step names a tuple that is no chain
+    built = []
+    monkeypatch.setattr(homology, "order_complex", lambda p: built.append(p) or order_complex(p))
     rng = random.Random(2027)
     problems = {"simplicial": set(), "cw": set()}
+    fallbacks = set()
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 3), 0.7, loops=True)
         h = random_graph(rng, rng.randint(2, 4), 0.7, loops=True)
@@ -362,19 +380,27 @@ def test_replay_matches_the_step_by_step_reference():
                 plan = first_arg_collapse(g, h, w, max_cells=3000)
             except ResourceLimitError:
                 continue
-            ambient = order_complex(plan.hom.poset)
+            poset = plan.hom.poset
+            ambient = order_complex(poset)
             cells = sorted(ambient.simplices)
         else:
             plan = second_arg_collapse(g, h, w)
-            ambient, cells = plan.hom, range(len(plan.hom))
+            poset, ambient, cells = None, plan.hom, range(len(plan.hom))
         mode = plan.sequence.mode
-        for kind, steps in _tampered(rng, plan.sequence.steps, cells):
+        for kind, steps in _tampered(rng, plan.sequence.steps, cells, poset):
             seq = CollapseSequence(mode, steps)
             got, want = execute_collapses(ambient, seq), reference_replay(ambient, seq)
             assert got == want, (kind, g, h, w)
+            if poset is not None:
+                built.clear()
+                assert execute_collapses(poset, seq) == want, (kind, g, h, w)
+                assert built == ([poset] if kind in ("unsorted", "incomparable") else []), (kind, g, h, w)
+                if built:
+                    fallbacks.add(kind)
             assert want[1].valid or kind != "as built"
             if not want[1].valid:
                 problems[mode].add(re.sub(r"[0-9(), ]+", " ", want[1].detail.split(": ", 1)[1]).strip())
+    assert fallbacks == {"unsorted", "incomparable"}
     # in both modes the tampered plans reached every kind of illegal step but
     # "coface is not maximal", which a replay on a closed complex never reaches
     # (a coface over free below a remaining cell leaves free a second coface)
