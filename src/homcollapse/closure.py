@@ -112,9 +112,9 @@ def collapse_sequence_from_closure(phi: PosetMap, direction: str) -> CollapseSeq
     while free:
         x = heapq.heappop(free)
         fx = fmap[x]
-        joins = [()] + p.chains(within=above(x) & remaining)
-        low = [()] + p.chains(within=below(fx) & remaining)
-        sims = [tuple(sorted(cu + cd)) for cu in joins for cd in low]
+        # every remaining element below fx lies below every one above x, so
+        # these chains are the joins of a chain above x with one below fx
+        sims = [()] + p.chains(within=(above(x) | below(fx)) & remaining)
         sims.sort()
         sims.sort(key=len, reverse=True)  # stable: by falling length, then as sorted above
         for sigma in sims:

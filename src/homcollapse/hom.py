@@ -94,16 +94,23 @@ class HomComplex:
             ups.sort()
             yield tuple(ups)
 
-    def facets(self):
+    def facets(self) -> list[list[tuple[int, int]]]:
         """For each cell in id order, its codimension-1 faces as (id, e) pairs.
 
         Dropping the j-th smallest vertex of a set A_x of two or more
         vertices is a face with incidence (-1)^e, e = sum over y < x of
         (|A_y| - 1) + j: the product rule for simplices.  Every face is
         looked up in cell_index, so the cells must be a down-set; the cells
-        of a Hom and those left by legal collapses are.
+        of a Hom and those left by legal collapses are.  The lists are
+        derived on the first call and shared by every later one, so
+        callers must not modify them.
         """
+        return self._facets
+
+    @cached_property
+    def _facets(self) -> list[list[tuple[int, int]]]:
         index = self.cell_index
+        out = []
         for cell in self.cells:
             faces = []
             e = 0  # sum over y < x of (|A_y| - 1)
@@ -112,7 +119,8 @@ class HomComplex:
                     head, tail = cell[:x], cell[x + 1 :]
                     faces += ((index[head + (m ^ (1 << a),) + tail], e + j) for j, a in enumerate(bits(m)))
                     e += m.bit_count() - 1
-            yield faces
+            out.append(faces)
+        return out
 
     @cached_property
     def poset(self) -> FacePoset:

@@ -5,11 +5,11 @@ complex in one pass over its cover incidences.  It stamps each cell with
 the index of the step that removes it, and a replay is legal exactly when
 no cell outlives one of its faces, so no coface counts are kept and only a
 failing step is checked again, to name it.  Homology comes from scratch, off
-one sparse boundary per dimension, either of a simplicial complex or of
-the cellular chain complex of a HomComplex, with the signed faces of
-HomComplex.facets().  Both feed one rank loop that shares no code path
-with the collapse builders: column reduction over GF(2) on int bitsets,
-or integer Smith invariant factors from an exact sparse elimination.
+one chain complex, either of a simplicial complex or the cellular one of a
+HomComplex with the signed faces of HomComplex.facets(): one signed
+boundary row per cell.  Those rows feed one rank loop that shares no code
+path with the collapse builders: column reduction over GF(2) on int
+bitsets, or integer Smith invariant factors from an exact sparse elimination.
 verify_plan is the one place that knows how a fold plan of either side
 is judged.
 """
@@ -165,7 +165,8 @@ def _trim(seq: Sequence) -> tuple:
 
 
 def gf2_rank(columns: Iterable[Iterable[int]]) -> int:
-    """Rank over GF(2) of a sparse matrix given as columns of row indices.
+    """Rank over GF(2) of a sparse matrix given as columns of row indices
+    (a {row: entry} map is read by its keys).
 
     Column reduction with each column held as an int bitset (a repeated row
     index counts once): XOR the stored pivot column with the same leading
@@ -239,9 +240,9 @@ def smith_invariant_factors(rows: Iterable[Mapping[int, int]]) -> list[int]:
 def _betti(sizes: Sequence[int], boundary, coefficients: str) -> BettiVector:
     """Betti numbers of a chain complex with sizes[d] cells in dimension d.
 
-    boundary(d, signed) builds the whole boundary out of dimension d in one
-    call: columns of row indices into dimension d - 1 for GF(2), or
-    {row: +-1} mappings for the integers, which are the Smith rows of the
+    boundary(d) builds the whole boundary out of dimension d in one call,
+    one {row: +-1} map per d-cell over the cells of dimension d - 1: its
+    keys are a column for gf2_rank, and the maps are the Smith rows of the
     transpose (it has the same invariant factors).
     """
     if coefficients not in ("gf2", "integer"):
@@ -250,12 +251,10 @@ def _betti(sizes: Sequence[int], boundary, coefficients: str) -> BettiVector:
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [() for _ in range(top + 1)]
     for d in range(1, top + 1):
-        if not sizes[d]:
-            continue
         if coefficients == "gf2":
-            ranks[d] = gf2_rank(boundary(d, False))
+            ranks[d] = gf2_rank(boundary(d))
         else:
-            factors = smith_invariant_factors(boundary(d, True))
+            factors = smith_invariant_factors(boundary(d))
             ranks[d] = len(factors)
             torsion[d - 1] = tuple(f for f in factors if f > 1)
     bs = [sizes[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)]
@@ -270,51 +269,41 @@ def betti(x, coefficients: str = "gf2") -> BettiVector:
     x is a SimplicialComplex, or a HomComplex read as the regular CW
     complex of its product cells, with the faces and incidences of
     x.facets(); any other x, a FacePoset included, raises TypeError.  Each
-    boundary is assembled from scratch once, as sparse columns of face
-    indices; no collapse data is read.
+    boundary is assembled from scratch once, one signed row per cell, and
+    feeds either kernel; no collapse data is read.
     """
+    if not isinstance(x, (SimplicialComplex, HomComplex)):
+        raise TypeError(f"no Betti numbers for {type(x).__name__}")
+    return _betti(*_chains(x), coefficients)
+
+
+def _chains(x):
+    """The chain complex of x: its cell counts by dimension, and boundary(d),
+    a list of one {row: +-1} map per d-cell, rows indexing dimension d - 1.
+
+    The cells of each dimension are indexed once, simplices sorted and Hom
+    cells by id.  A simplex's k-th face drops its k-th vertex, with sign
+    (-1)^k; a Hom cell's faces (f, e) are those of x.facets(), with
+    incidence (-1)^e.
+    """
+    by_dim: dict[int, list] = {}
     if isinstance(x, SimplicialComplex):
-        return _betti(*_simplicial_chains(x), coefficients)
-    if isinstance(x, HomComplex):
-        return _betti(*_cellular_chains(x), coefficients)
-    raise TypeError(f"no Betti numbers for {type(x).__name__}")
+        for s in sorted(x.simplices):
+            by_dim.setdefault(len(s) - 1, []).append(s)
 
+        def boundary(d):
+            signs = [-1 if k % 2 else 1 for k in range(d, -1, -1)]  # combinations drops the last vertex first
+            return [dict(zip(map(row.__getitem__, combinations(s, d)), signs)) for s in cells[d]]
+    else:
+        for i, cell in enumerate(x.cells):
+            by_dim.setdefault(cell_dim(cell), []).append(i)
+        faces = x.facets()
 
-def _simplicial_chains(x: SimplicialComplex):
-    """Simplices by dimension, and boundaries signed (-1)^k on deleting the
-    k-th vertex."""
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for s in x.simplices:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    for sims in by_dim.values():
-        sims.sort()
-    cells = [by_dim.get(d, []) for d in range(max(by_dim, default=-1) + 1)]
-    index = [{s: k for k, s in enumerate(sims)} for sims in cells]
-
-    def boundary(d, signed):
-        rows = index[d - 1]
-        if signed:
-            return [{rows[s[:k] + s[k + 1 :]]: -1 if k % 2 else 1 for k in range(len(s))} for s in cells[d]]
-        return [[rows[s[:k] + s[k + 1 :]] for k in range(len(s))] for s in cells[d]]
-
-    return [len(sims) for sims in cells], boundary
-
-
-def _cellular_chains(hom: HomComplex):
-    """The cells of hom by dimension, and boundaries: each face (f, e) of
-    hom.facets() has incidence (-1)^e."""
-    faces = list(hom.facets())
-    by_dim: dict[int, list[int]] = {}
-    for i, cell in enumerate(hom.cells):
-        by_dim.setdefault(cell_dim(cell), []).append(i)
-    cells = [by_dim.get(d, []) for d in range(max(by_dim, default=-1) + 1)]
-    row = {i: k for ids in cells for k, i in enumerate(ids)}
-
-    def boundary(d, signed):
-        if signed:
+        def boundary(d):
             return [{row[f]: -1 if e % 2 else 1 for f, e in faces[i]} for i in cells[d]]
-        return [[row[f] for f, _ in faces[i]] for i in cells[d]]
 
+    cells = [by_dim.get(d, []) for d in range(max(by_dim, default=-1) + 1)]
+    row = {c: k for ids in cells for k, c in enumerate(ids)}  # a simplex or id has one dimension
     return [len(ids) for ids in cells], boundary
 
 

@@ -129,6 +129,33 @@ def reference_replay(ambient, seq):
     return remaining, CollapseReport(True, None, tuple(dims))
 
 
+def reference_closure_steps(phi, direction):
+    """collapse_sequence_from_closure's steps with each link in product form,
+    as the oracle for its builder.
+
+    Takes the non-fixed elements one at a time, the least id first among
+    those with no non-fixed element left below them.  Each simplex of the
+    link of x, the union of a remaining chain above x and a remaining chain
+    below phi(x) (either may be empty), is paired across inserting x and
+    phi(x), in falling length and then in sorted order.
+    """
+    p = phi.source
+    above, below = (p.above, p.below) if direction == "descending" else (p.below, p.above)
+    remaining = set(p.ids)
+    moving = {x for x in p.ids if phi.map[x] != x}
+    steps = []
+    while moving:
+        x = min(y for y in moving if not below(y) & moving)
+        fx = phi.map[x]
+        joins = [()] + p.chains(within=above(x) & remaining)
+        low = [()] + p.chains(within=below(fx) & remaining)
+        sims = sorted((tuple(sorted(cu + cd)) for cu in joins for cd in low), key=lambda s: (-len(s), s))
+        steps += [(tuple(sorted(s + (x,))), tuple(sorted(s + (x, fx)))) for s in sims]
+        remaining.discard(x)
+        moving.discard(x)
+    return tuple(steps)
+
+
 def random_graph(rng, n, p=0.5, loops=False):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     if loops:

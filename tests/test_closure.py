@@ -8,20 +8,34 @@ from homcollapse import (
     FacePoset,
     Matching,
     PosetMap,
+    ResourceLimitError,
+    alpha_beta_maps,
     betti,
     collapse_sequence_from_closure,
+    enumerate_hom_cells,
     execute_collapses,
     face_poset,
+    find_folds,
     image_subposet,
     morse_matching_from_closure,
     order_complex,
+    phi_psi_maps,
     random_descending_closure,
     random_poset,
     verify_acyclic_matching,
     verify_closure_operator,
 )
 from homcollapse.closure import MAX_RANDOM_ELEMENTS
-from helpers import as_read, brute_le, disconnected_graph_fixture
+from helpers import (
+    as_read,
+    brute_le,
+    disconnected_graph_fixture,
+    loop_fold_pair,
+    loop_vertex,
+    loopless_iso_classes,
+    reference_closure_steps,
+    reflexive_k2,
+)
 
 
 def chain_poset(n):
@@ -95,6 +109,39 @@ def test_ascending_is_descending_on_dual():
         dual_phi = PosetMap(p.dual(), p.dual(), phi.map)
         up = collapse_sequence_from_closure(dual_phi, "ascending")
         assert down.steps == up.steps
+
+
+def _fold_closures():
+    """Both closure pairs of every fold of the acceptance corpus, with their
+    directions, on each Hom within the acceptance caps (1500 cells, 20000
+    chains)."""
+    corpus = dict(loopless_iso_classes(4), loop1=loop_vertex(), k2_refl=reflexive_k2(), loopfold=loop_fold_pair())
+    for g in corpus.values():
+        for w in find_folds(g)[:1]:
+            for h in corpus.values():
+                for pair, maps in (((g, h), alpha_beta_maps), ((h, g), phi_psi_maps)):
+                    try:
+                        hom = enumerate_hom_cells(*pair, 1500)
+                        hom.poset.chain_counts(20000)
+                    except ResourceLimitError:
+                        continue
+                    grow, shrink = maps(hom, w)
+                    yield grow, "ascending"
+                    yield shrink, "descending"
+
+
+def test_builder_matches_the_product_form_reference():
+    # each link's chains, enumerated at once, are the product form's joins in the same order
+    rng = random.Random(131)
+    cases = []
+    for _ in range(40):
+        p = random_poset(rng, 10)
+        cases.append((random_descending_closure(rng, p), "descending"))
+        cases.append((PosetMap(p, p, random_descending_closure(rng, p.dual()).map), "ascending"))
+    cases += _fold_closures()
+    assert len(cases) > 500
+    for phi, direction in cases:
+        assert collapse_sequence_from_closure(phi, direction).steps == reference_closure_steps(phi, direction)
 
 
 def test_collapse_rejects_non_closures():

@@ -33,7 +33,7 @@ from homcollapse import (
 )
 
 from homcollapse import homology
-from homcollapse.homology import CollapseReport, _cellular_chains, _judge
+from homcollapse.homology import CollapseReport, _chains, _judge
 
 from helpers import (
     as_read,
@@ -539,17 +539,36 @@ def test_cellular_boundary_of_boundary_vanishes(g, h):
     _assert_boundary_squares_to_zero(enumerate_hom_cells(g, h))
 
 
-def _assert_boundary_squares_to_zero(cells):
-    sizes, boundary = _cellular_chains(cells)
-    assert len(sizes) > 3
+def _assert_boundary_squares_to_zero(x):
+    sizes, boundary = _chains(x)
+    assert len(sizes) > 2  # at least one composite to check
     for d in range(2, len(sizes)):
-        below = boundary(d - 1, True)
-        for column in boundary(d, True):
+        below = boundary(d - 1)
+        for column in boundary(d):
             acc = {}
             for mid, a in column.items():
                 for row, b in below[mid].items():
                     acc[row] = acc.get(row, 0) + a * b
             assert not any(acc.values())
+
+
+def _cone(x, apex):
+    return SimplicialComplex(list(x.simplices) + [s + (apex,) for s in x.simplices] + [(apex,)])
+
+
+def _seeded_order_complex():
+    rng = random.Random(127)
+    return max((order_complex(random_poset(rng, 12)) for _ in range(20)), key=lambda x: (x.dim(), len(x)))
+
+
+@pytest.mark.parametrize("space", [
+    pytest.param(lambda: SimplicialComplex.from_facets(RP2_FACETS), id="RP2"),
+    pytest.param(_seeded_order_complex, id="order-complex"),
+    pytest.param(lambda: _cone(SimplicialComplex.from_facets(RP2_FACETS), 6), id="cone-RP2"),
+])
+def test_simplicial_boundary_of_boundary_vanishes(space):
+    # the (-1)^k signs of dropping the k-th vertex compose to zero over the integers
+    _assert_boundary_squares_to_zero(space())
 
 
 def _product(*factors):
