@@ -130,7 +130,8 @@ def collapse_sequence_from_closure(phi: PosetMap, direction: str) -> CollapseSeq
 
 def morse_matching_from_closure(phi: PosetMap) -> Matching:
     """The chain-level matching of a descending closure, on the face poset
-    of the order complex of p = phi.source.
+    of the order complex of p = phi.source, whose element k is the k-th
+    chain in face_poset's (dimension, lexicographic) id order.
 
     A chain missing from the image locates its lowest non-fixed entry x_i
     and is paired across inserting phi(x_i), or across deleting x_{i-1}
@@ -140,15 +141,17 @@ def morse_matching_from_closure(phi: PosetMap) -> Matching:
     report = verify_closure_operator(phi, "descending")
     if not report.ok:
         raise ClosureError(report)
-    bd = face_poset(order_complex(phi.source))
+    ox = order_complex(phi.source)
+    bd = face_poset(ox)
+    chains = sorted(ox.simplices, key=lambda s: (len(s), s))
     image = set(phi.map.values())
     below = phi.source.below  # along a chain, each entry has more elements below it than the last
-    chain_id = {bd.label_of[i]: i for i in bd.ids}
+    chain_id = {c: k for k, c in enumerate(chains)}
     pairs = set()
     paired = set()
     critical = set()
-    for cid in bd.ids:
-        chain = sorted(bd.label_of[cid], key=lambda x: len(below(x)))
+    for cid, c in enumerate(chains):
+        chain = sorted(c, key=lambda x: len(below(x)))
         idx = next((k for k, x in enumerate(chain) if x not in image), None)
         if idx is None:
             critical.add(cid)

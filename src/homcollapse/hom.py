@@ -60,37 +60,23 @@ class HomComplex:
         """For each cell in id order, the sorted ids of its upper covers: the
         cells that add one vertex to one set.
 
-        At position x the vertices that can be added are those adjacent to
-        every vertex in the sets of x's other neighbours; at a looped x they
-        must also be looped and adjacent to all of x's own set, as
-        enumerate_hom_cells requires, so every cover is a cell of the whole
-        Hom.  When the cells are only a down-set of it, a cover that is not
-        among them is left out.
+        Each tuple that adds a vertex missing from one set is looked up in
+        cell_index, so which tuples are cells is decided by
+        enumerate_hom_cells alone.  When the cells are only a down-set of a
+        Hom, a cover that is not among them is not found and left out.
         """
-        g, h, index = self.domain, self.codomain, self.cell_index
-        full = (1 << h.n) - 1
-        looped = mask_of(a for a in range(h.n) if h.adj[a] >> a & 1)
-        others = [[y for y in bits(g.adj[x]) if y != x] for x in range(g.n)]
-        loops = [bool(g.adj[x] >> x & 1) for x in range(g.n)]
-        common = {m: _common_neighbors(h, m) for m in {m for c in self.cells for m in c}}
+        get = self.cell_index.get
+        vertices = [1 << a for a in range(self.codomain.n)]
+        # each mask's one-vertex extensions, as 1-tuples ready to splice into a cell
+        grown = {m: [(m | v,) for v in vertices if not m & v] for m in {m for c in self.cells for m in c}}
         for cell in self.cells:
-            cns = tuple(map(common.__getitem__, cell))
             ups = []
             for x, m in enumerate(cell):
-                free = full & ~m
-                for y in others[x]:
-                    free &= cns[y]
-                if loops[x]:
-                    free &= cns[x] & looped
-                if free:
-                    head, tail = cell[:x], cell[x + 1 :]
-                    while free:
-                        low = free & -free
-                        try:
-                            ups.append(index[head + (m | low,) + tail])
-                        except KeyError:  # a cover outside a down-set of the cells
-                            pass
-                        free ^= low
+                head, tail = cell[:x], cell[x + 1 :]
+                for bigger in grown[m]:
+                    cid = get(head + bigger + tail)
+                    if cid is not None:
+                        ups.append(cid)
             ups.sort()
             yield tuple(ups)
 
@@ -124,8 +110,8 @@ class HomComplex:
 
     @cached_property
     def poset(self) -> FacePoset:
-        """The bare face poset of the cells, built on first read: id k is
-        cells[k], with no dims or labels.  Its upper covers are
+        """The face poset of the cells, built on first read: id k is
+        cells[k].  Its upper covers are
         upper_covers() as yielded; each lower cover list is filled in id
         order, so it comes out sorted and free of repeats.
         """

@@ -1,8 +1,9 @@
 """Finite posets as Hasse diagrams, order complexes, and face posets.
 
 A FacePoset stores only its Hasse diagram, once per direction: the upper
-and lower covers of each element.  The full order is reachability,
-computed on demand once per direction (above or below) and cached.
+and lower covers of each element, and answers only order questions.  The
+full order is reachability, computed on demand once per direction (above
+or below) and cached.
 Element ids are arbitrary integers and survive subposet extraction, so
 collapse plans can name cells stably.
 """
@@ -36,13 +37,11 @@ class PosetCycleError(ValueError):
 
 
 class FacePoset:
-    def __init__(
-        self,
-        elements: Iterable[int],
-        covers: Iterable[tuple[int, int]],
-        dims: Mapping[int, int] | None = None,
-        labels: Mapping[int, Any] | None = None,
-    ):
+    ids: tuple[int, ...]
+    upper: dict[int, tuple[int, ...]]
+    lower: dict[int, tuple[int, ...]]
+
+    def __init__(self, elements: Iterable[int], covers: Iterable[tuple[int, int]]):
         ids = tuple(elements)
         up: dict[int, Any] = {i: [] for i in ids}
         if len(up) != len(ids):
@@ -58,35 +57,19 @@ class FacePoset:
         for i in ids:  # a repeated cover counts once
             up[i] = tuple(sorted(set(up[i])))
             down[i] = tuple(sorted(set(down[i])))
-        self._set_hasse(ids, up, down, dict(dims or {}), dict(labels or {}))
+        self.ids, self.upper, self.lower = ids, up, down
         self._topo  # a cycle raises here
 
     @classmethod
     def _from_hasse(cls, ids, upper, lower) -> "FacePoset":
-        """The bare poset, with no dims or labels, whose upper and lower covers
-        of each id are the sorted, duplicate-free tuples given, taken as they
-        are and unchecked."""
+        """The poset whose upper and lower covers of each id are the sorted,
+        duplicate-free tuples given, taken as they are and unchecked."""
         p = cls.__new__(cls)
-        p._set_hasse(ids, upper, lower, {}, {})
+        p.ids, p.upper, p.lower = ids, upper, lower
         return p
-
-    def _set_hasse(self, ids, upper, lower, dims, labels) -> None:
-        self.ids: tuple[int, ...] = ids
-        self.upper: dict[int, tuple[int, ...]] = upper
-        self.lower: dict[int, tuple[int, ...]] = lower
-        self.dim_of: dict[int, int] = dims
-        self.label_of: dict[int, Any] = labels
 
     def __len__(self):
         return len(self.ids)
-
-    def f_vector(self) -> tuple[int, ...]:
-        """Element counts by dim_of; an element without a dim is not counted."""
-        counts: dict[int, int] = {}
-        for i in self.ids:
-            d = self.dim_of.get(i, -1)
-            counts[d] = counts.get(d, 0) + 1
-        return tuple(counts.get(k, 0) for k in range(max(counts, default=-1) + 1))
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -205,23 +188,16 @@ class FacePoset:
             for b in cand:
                 if not (self.below(b) & cand):
                     covers.append((a, b))
-        return FacePoset(
-            ids,
-            covers,
-            {i: self.dim_of[i] for i in ids if i in self.dim_of},
-            {i: self.label_of[i] for i in ids if i in self.label_of},
-        )
+        return FacePoset(ids, covers)
 
     def dual(self) -> "FacePoset":
         flipped = ((b, a) for a, bs in self.upper.items() for b in bs)
-        return FacePoset(self.ids, flipped, self.dim_of, self.label_of)
+        return FacePoset(self.ids, flipped)
 
     def to_json(self) -> dict:
+        """The elements, each with dim -1 and label null, and the covers."""
         return {
-            "elements": [
-                {"id": i, "dim": self.dim_of.get(i, -1), "label": self.label_of.get(i)}
-                for i in self.ids
-            ],
+            "elements": [{"id": i, "dim": -1, "label": None} for i in self.ids],
             "covers": self.covers,
         }
 
@@ -229,12 +205,12 @@ class FacePoset:
     def from_json(cls, data: Mapping) -> "FacePoset":
         try:
             elements = [json_int(e["id"]) for e in data["elements"]]
-            dims = {i: json_int(e["dim"]) for i, e in zip(elements, data["elements"])}
-            labels = {i: e.get("label") for i, e in zip(elements, data["elements"])}
+            for e in data["elements"]:  # a dim must be an integer, though none is kept
+                json_int(e["dim"])
             covers = [(json_int(a), json_int(b)) for a, b in data["covers"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed poset JSON: {exc}") from None
-        p = cls(elements, covers, dims, labels)
+        p = cls(elements, covers)
         for a, b in p.covers:  # nothing lies between; read downward only, as chain_counts reads
             if any(a in p.below(c) for c in p.lower[b]):
                 between = min(c for c in p.below(b) if a in p.below(c))
@@ -332,18 +308,12 @@ def order_complex(p: FacePoset) -> SimplicialComplex:
 def face_poset(x: SimplicialComplex) -> FacePoset:
     """Poset of simplices of x ordered by inclusion; covers drop one vertex.
 
-    Ids are assigned 0..N-1 in (dimension, lexicographic) order; each
-    element is labeled by its simplex.
+    Ids are assigned 0..N-1 in (dimension, lexicographic) order.
     """
     sims = sorted(x.simplices, key=lambda s: (len(s), s))
     index = {s: k for k, s in enumerate(sims)}
     covers = ((index[s[:k] + s[k + 1 :]], index[s]) for s in sims if len(s) > 1 for k in range(len(s)))
-    return FacePoset(
-        range(len(sims)),
-        covers,
-        {k: len(s) - 1 for k, s in enumerate(sims)},
-        {k: s for k, s in enumerate(sims)},
-    )
+    return FacePoset(range(len(sims)), covers)
 
 
 @dataclass

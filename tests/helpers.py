@@ -256,6 +256,30 @@ def _connected_components(n, edges):
     return [frozenset(g) for g in groups.values()]
 
 
+def face_poset_simplices(x):
+    """The simplices of x in the id order of face_poset(x): by dimension, then
+    lexicographically.  For x the order complex of phi.source, these are the
+    chains that the cells of morse_matching_from_closure(phi) stand for."""
+    return sorted(x.simplices, key=lambda s: (len(s), s))
+
+
+def disconnected_graphs(n):
+    """The disconnected graphs with at least one edge on n labeled vertices,
+    as sorted edge tuples: element k of disconnected_graph_fixture(n) is the
+    k-th, by edge count, then lexicographically."""
+    if not 3 <= n <= 6:
+        raise ValueError("fixture size must be between 3 and 6")
+    possible = list(itertools.combinations(range(n), 2))
+    graphs = [
+        combo
+        for r in range(1, len(possible) + 1)
+        for combo in itertools.combinations(possible, r)
+        if len(_connected_components(n, combo)) >= 2
+    ]
+    graphs.sort(key=lambda es: (len(es), es))
+    return graphs
+
+
 def disconnected_graph_fixture(n):
     """Inclusion poset of disconnected graphs with at least one edge on n
     labeled vertices, with the ascending closure completing each connected
@@ -263,18 +287,10 @@ def disconnected_graph_fixture(n):
 
     The closure lands on disjoint unions of at least two cliques, not all
     single vertices; those are the interior of the lattice of set
-    partitions.  Elements are labeled by their sorted edge lists.
+    partitions.  Element k is disconnected_graphs(n)[k].
     """
-    if not 3 <= n <= 6:
-        raise ValueError("fixture size must be between 3 and 6")
     possible = list(itertools.combinations(range(n), 2))
-    graphs = []
-    for r in range(1, len(possible) + 1):
-        for combo in itertools.combinations(possible, r):
-            if len(_connected_components(n, combo)) >= 2:
-                graphs.append(frozenset(combo))
-    graphs.sort(key=lambda es: (len(es), sorted(es)))
-    index = {es: k for k, es in enumerate(graphs)}
+    index = {frozenset(es): k for k, es in enumerate(disconnected_graphs(n))}
     covers = []
     for es, k in index.items():
         for e in possible:
@@ -289,10 +305,5 @@ def disconnected_graph_fixture(n):
             pair for comp in comps for pair in itertools.combinations(sorted(comp), 2)
         )
         mapping[k] = index[hull]
-    poset = FacePoset(
-        range(len(graphs)),
-        covers,
-        {k: len(es) - 1 for es, k in index.items()},
-        {k: tuple(sorted(es)) for es, k in index.items()},
-    )
+    poset = FacePoset(range(len(index)), covers)
     return poset, PosetMap(poset, poset, mapping)

@@ -52,6 +52,7 @@ from homcollapse.hom import cell_vertex_sets
 
 from helpers import (
     disconnected_graph_fixture,
+    face_poset_simplices,
     loop_fold_pair,
     loop_vertex,
     loopless_iso_classes,
@@ -124,7 +125,8 @@ def closure_suite():
         ok, certificate = verify_acyclic_matching(m)
         if not ok:
             failures.append(f"case {cases}: matching cycle {certificate}")
-        critical_chains = {m.poset.label_of[i] for i in m.critical}
+        chains = face_poset_simplices(ambient)
+        critical_chains = {chains[i] for i in m.critical}
         if critical_chains != image_chains:
             failures.append(f"case {cases}: critical cells are not the image chains")
         cases += 1

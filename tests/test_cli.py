@@ -20,7 +20,7 @@ from homcollapse import cli, folds, homology
 from homcollapse.cli import main
 from homcollapse.closure import MAX_RANDOM_ELEMENTS
 
-from helpers import complete, cycle, edgeless, k4_pendant, path_graph
+from helpers import complete, cycle, k4_pendant, path_graph
 
 K2 = "n 2\ne 0 1\n"
 K3 = "n 3\ne 0 1\ne 0 2\ne 1 2\n"
@@ -196,6 +196,29 @@ def test_homology_from_poset_file(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["betti"] == [1] and data["f_vector"] == [3, 2]
+
+
+@pytest.mark.parametrize("dim", ["1.5", '"0"', "true"])
+def test_homology_complex_rejects_a_poset_dim_that_is_not_an_integer(capsys, tmp_path, dim):
+    # a poset file's dims are checked, though the poset keeps none
+    path = tmp_path / "poset.json"
+    path.write_text('{"elements": [{"id": 0, "dim": 0}, {"id": 1, "dim": %s}], "covers": [[0, 1]]}' % dim)
+    code, out, err = run(capsys, ["homology", "--complex", str(path)])
+    assert code == 2 and not out and "is not an integer" in err
+
+
+@pytest.mark.parametrize("h, betti", [("k3", [1, 1]), ("k4", [1, 0, 1])])
+def test_homology_of_a_hom_out_file(graphs, capsys, tmp_path, h, betti):
+    # a hom --out file labels its cells with nested arrays; homology reads only its order
+    (tmp_path / "k4.graph").write_text(format_graph(complete(4)))
+    argv = ["-G", graphs["k2"], "-H", str(tmp_path / f"{h}.graph")]
+    out_file = tmp_path / "hom.json"
+    assert run(capsys, ["hom", *argv, "--out", str(out_file)])[0] == 0
+    assert json.loads(out_file.read_text())["elements"][0]["label"] == [[0], [1]]
+    code, out, _ = run(capsys, ["homology", "--complex", str(out_file), "--json"])
+    assert code == 0 and json.loads(out)["betti"] == betti
+    code, out, _ = run(capsys, ["homology", *argv, "--json"])
+    assert code == 0 and json.loads(out)["betti"] == betti
 
 
 def test_homology_torsion_in_integer_mode(capsys, tmp_path):

@@ -30,6 +30,8 @@ from helpers import (
     as_read,
     brute_le,
     disconnected_graph_fixture,
+    disconnected_graphs,
+    face_poset_simplices,
     loop_fold_pair,
     loop_vertex,
     loopless_iso_classes,
@@ -172,9 +174,10 @@ def test_matching_on_three_chain():
     p = chain_poset(3)
     phi = PosetMap(p, p, {0: 0, 1: 1, 2: 1})
     m = morse_matching_from_closure(phi)
-    named_pairs = {(m.poset.label_of[a], m.poset.label_of[b]) for a, b in m.pairs}
+    chains = face_poset_simplices(order_complex(p))
+    named_pairs = {(chains[a], chains[b]) for a, b in m.pairs}
     assert named_pairs == {((2,), (1, 2)), ((0, 2), (0, 1, 2))}
-    critical = {m.poset.label_of[c] for c in m.critical}
+    critical = {chains[c] for c in m.critical}
     assert critical == {(0,), (1,), (0, 1)}
     ok, cert = verify_acyclic_matching(m)
     assert ok and cert is None
@@ -197,8 +200,9 @@ def test_matching_properties_randomized():
         assert ok, cert
         # critical cells are exactly the chains inside the image
         image = set(phi.map.values())
-        for cid in m.poset.ids:
-            chain = m.poset.label_of[cid]
+        chains = face_poset_simplices(order_complex(p))
+        assert m.poset.ids == tuple(range(len(chains)))
+        for cid, chain in enumerate(chains):
             inside = all(x in image for x in chain)
             assert (cid in m.critical) == inside
         # every non-critical chain is in exactly one pair
@@ -217,9 +221,10 @@ def test_matching_critical_count_bounds_betti():
         p = random_poset(rng, 7)
         phi = random_descending_closure(rng, p)
         m = morse_matching_from_closure(phi)
+        chains = face_poset_simplices(order_complex(p))
         crit_by_dim = {}
         for c in m.critical:
-            d = len(m.poset.label_of[c]) - 1
+            d = len(chains[c]) - 1
             crit_by_dim[d] = crit_by_dim.get(d, 0) + 1
         b = betti(order_complex(p)).betti
         for d, bd in enumerate(b):
@@ -243,7 +248,7 @@ def test_verify_acyclic_matching_finds_cycle():
 
     tri = SimplicialComplex.from_facets([(0, 1), (1, 2), (0, 2)])
     p = face_poset(tri)
-    by_label = {p.label_of[i]: i for i in p.ids}
+    by_label = {s: i for i, s in enumerate(face_poset_simplices(tri))}
     pairs = frozenset({
         (by_label[(0,)], by_label[(0, 1)]),
         (by_label[(1,)], by_label[(1, 2)]),
@@ -266,7 +271,8 @@ def test_matching_agrees_with_collapse_removals():
         seq = collapse_sequence_from_closure(phi, "descending")
         m = morse_matching_from_closure(phi)
         seq_pairs = {(a, b) for a, b in seq.steps}
-        named = {(m.poset.label_of[a], m.poset.label_of[b]) for a, b in m.pairs}
+        chains = face_poset_simplices(order_complex(p))
+        named = {(chains[a], chains[b]) for a, b in m.pairs}
         assert seq_pairs == named
 
 
@@ -283,8 +289,9 @@ def test_fixture_sizes_and_laws():
 
 def test_fixture_covers_are_single_edge_insertions():
     poset, _ = disconnected_graph_fixture(4)
+    graphs = disconnected_graphs(4)
     for a, b in poset.covers:
-        ea, eb = set(poset.label_of[a]), set(poset.label_of[b])
+        ea, eb = set(graphs[a]), set(graphs[b])
         assert ea < eb and len(eb - ea) == 1
 
 

@@ -14,7 +14,7 @@ from homcollapse import (
     is_homomorphism,
     parse_graph,
 )
-from helpers import complete, edgeless, loop_fold_pair, path_graph, random_graph, star
+from helpers import complete, loop_fold_pair, path_graph, random_graph, star
 
 
 def test_parse_basic():

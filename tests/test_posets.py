@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import random
@@ -18,7 +17,14 @@ from homcollapse import (
     random_poset,
     verify_closure_operator,
 )
-from helpers import as_read, brute_chains, brute_le, disconnected_graph_fixture
+from helpers import (
+    as_read,
+    brute_chains,
+    brute_le,
+    disconnected_graph_fixture,
+    disconnected_graphs,
+    face_poset_simplices,
+)
 
 
 def chain_poset(n):
@@ -158,19 +164,20 @@ def test_face_poset_of_triangle_boundary():
     x = SimplicialComplex.from_facets([(0, 1), (1, 2), (0, 2)])
     p = face_poset(x)
     assert len(p) == 6
-    assert sorted(p.dim_of.values()) == [0, 0, 0, 1, 1, 1]
     # barycentric subdivision of a circle is a hexagon
     assert order_complex(p).f_vector() == (6, 6)
 
 
 def test_face_poset_of_full_triangle():
-    p = face_poset(SimplicialComplex.from_facets([(0, 1, 2)]))
+    x = SimplicialComplex.from_facets([(0, 1, 2)])
+    p = face_poset(x)
     assert len(p) == 7
     assert order_complex(p).f_vector() == (7, 12, 6)
     # covers drop exactly one vertex
+    sims = face_poset_simplices(x)
     for a, b in p.covers:
-        assert len(p.label_of[b]) == len(p.label_of[a]) + 1
-        assert set(p.label_of[a]) < set(p.label_of[b])
+        assert len(sims[b]) == len(sims[a]) + 1
+        assert set(sims[a]) < set(sims[b])
 
 
 def test_face_poset_chains_equal_flag_count_randomized():
@@ -223,8 +230,7 @@ def test_poset_json_round_trip():
     data = as_read(p.to_json())
     q = FacePoset.from_json(data)
     assert q.ids == p.ids and q.covers == p.covers
-    assert q.dim_of == p.dim_of
-    assert {"id", "dim", "label"} == set(data["elements"][0])
+    assert data["elements"] == [{"id": i, "dim": -1, "label": None} for i in p.ids]
 
 
 def test_poset_json_rejects_transitive_cover():
@@ -386,7 +392,8 @@ def test_fixture_image_is_partition_interior():
         if len(pt) >= 2 and any(len(b) > 1 for b in pt)
     }
     assert len(proper) == 13
-    to_partition = {i: components(img.label_of[i]) for i in img.ids}
+    graphs = disconnected_graphs(4)
+    to_partition = {i: components(graphs[i]) for i in img.ids}
     assert set(to_partition.values()) == proper
 
     def refines(pa, pb):
