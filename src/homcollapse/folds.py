@@ -24,26 +24,27 @@ class FoldCollapsePlan:
     """A fold-induced reduction of a hom complex, as the builder made it;
     homology.verify_plan judges it.
 
-    retained lists what must survive, in the same currency as the
-    sequence; target_cells counts surviving poset cells either way.
+    The steps leave what target_cells span: their chains (side first) or
+    those cells (side second), which to_json writes as "retained".
     """
 
     side: str
     witness: FoldWitness
     vertex_order: tuple[int, ...] | None
     sequence: CollapseSequence
-    retained: frozenset
     target_cells: tuple[int, ...]
     hom: HomComplex
 
     def to_json(self) -> dict:
+        first = self.side == "first"  # side second builds no face poset
+        retained = sorted(self.hom.poset.chains(within=self.target_cells)) if first else list(self.target_cells)
         return {
             "side": self.side,
             "v": self.witness.v,
             "u": self.witness.u,
             "vertex_order": self.vertex_order,
             "sequence": self.sequence.to_json(),
-            "retained": sorted(self.retained),
+            "retained": retained,
         }
 
 
@@ -80,15 +81,12 @@ def first_arg_collapse(g: Graph, h: Graph, w: FoldWitness, max_cells: int = 1_00
     up = collapse_sequence_from_closure(alpha, "ascending")
     down = collapse_sequence_from_closure(beta, "descending")
     seq = CollapseSequence("simplicial", up.steps + down.steps)
-    target = tuple(sorted(set(beta.map.values())))
-    retained = frozenset(hom.poset.chains(within=target))
     return FoldCollapsePlan(
         side="first",
         witness=w,
         vertex_order=None,
         sequence=seq,
-        retained=retained,
-        target_cells=target,
+        target_cells=tuple(sorted(set(beta.map.values()))),
         hom=hom,
     )
 
@@ -119,12 +117,12 @@ def second_arg_collapse(
     hom = enumerate_hom_cells(k, g, max_cells)
     v, u = w.v, w.u
     vbit, ubit = 1 << v, 1 << u
-    retained = []
+    target = []
     pairs = []
     for cid, cell in enumerate(hom.cells):
         pos = next((j for j, x in enumerate(order) if cell[x] & vbit), None)
         if pos is None:
-            retained.append(cid)
+            target.append(cid)
             continue
         x = order[pos]
         if cell[x] & ubit:
@@ -134,7 +132,7 @@ def second_arg_collapse(
         if mate_id is None:
             raise AssertionError("inserting the dominating vertex left the complex")
         pairs.append((pos, -cell_dim(cell), cid, mate_id))
-    if len(retained) + 2 * len(pairs) != len(hom.cells):
+    if len(target) + 2 * len(pairs) != len(hom.cells):
         raise AssertionError("fold pairing failed to partition the cells")
     pairs.sort()
     steps = tuple((cid, mate_id) for _, _, cid, mate_id in pairs)
@@ -143,8 +141,7 @@ def second_arg_collapse(
         witness=w,
         vertex_order=order,
         sequence=CollapseSequence("cw", steps),
-        retained=frozenset(retained),
-        target_cells=tuple(retained),
+        target_cells=tuple(target),
         hom=hom,
     )
 

@@ -11,7 +11,7 @@ Hom(G, H) is a regular CW complex, read as one by HomComplex.facets().
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import Graph, GraphHom, bits, is_homomorphism, mask_of
@@ -37,10 +37,12 @@ def cell_vertex_sets(cell: Cell) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class HomComplex:
+    """Cells of Hom(domain, codomain), or a down-set of them, in id order;
+    cell_index, facets() and poset are derived from cells on first read."""
+
     domain: Graph
     codomain: Graph
     cells: tuple[Cell, ...]
-    cell_index: dict[Cell, int] = field(compare=False)
 
     def __len__(self):
         return len(self.cells)
@@ -92,6 +94,10 @@ class HomComplex:
         callers must not modify them.
         """
         return self._facets
+
+    @cached_property
+    def cell_index(self) -> dict[Cell, int]:
+        return {c: k for k, c in enumerate(self.cells)}
 
     @cached_property
     def _facets(self) -> list[list[tuple[int, int]]]:
@@ -193,7 +199,7 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
         return k
 
     cells.sort(key=key)
-    return HomComplex(g, h, tuple(cells), {c: k for k, c in enumerate(cells)})
+    return HomComplex(g, h, tuple(cells))
 
 
 def induced_covariant(f: GraphHom, source: HomComplex, target: HomComplex) -> dict[int, int]:

@@ -363,7 +363,7 @@ def compare_collapse(
         survivors = SimplicialComplex(remaining, check=False)
     else:
         cells = tuple(ambient.cells[i] for i in sorted(remaining))
-        survivors = HomComplex(ambient.domain, ambient.codomain, cells, {c: k for k, c in enumerate(cells)})
+        survivors = HomComplex(ambient.domain, ambient.codomain, cells)
     after = betti(survivors, coefficients)
     return _judge(report, remaining, expected_remaining, before, after)
 
@@ -376,12 +376,13 @@ def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
     whose cells carry into Hom(G, H) by precomposing with the retraction,
     and Hom(K, G - v) for side "second", whose cells carry into Hom(K, G)
     along the inclusion.  The carried cells must be target_cells one to
-    one and span retained, else remaining_matches is False.  The steps
-    replay on the cell poset plan.hom.poset, standing for its order
-    complex, whose chains are streamed and never built unless a step names
-    something that is no chain (first), or on the HomComplex plan.hom
-    itself (second), and the cellular Betti numbers of plan.hom and of the
-    folded Hom are compared.  Side second builds no face poset.
+    one, and the replay must leave just their chains (first) or themselves
+    (second), else remaining_matches is False.  The steps replay on the
+    cell poset plan.hom.poset, standing for its order complex, whose chains
+    are streamed and never built unless a step names something that is no
+    chain (first), or on the HomComplex plan.hom itself (second), and the
+    cellular Betti numbers of plan.hom and of the folded Hom are compared.
+    Side second builds no face poset.
     """
     hom, first = plan.hom, plan.side == "first"
     small, retraction, inclusion = apply_fold(hom.domain if first else hom.codomain, plan.witness)
@@ -394,14 +395,10 @@ def verify_plan(plan, coefficients: str = "gf2") -> Verdict:
         carried, ambient = induced_covariant(inclusion, folded, hom), hom
         cause = "target cells are not Hom(K, G - v) pushed forward one-to-one"
     cells = sorted(carried.values())
-    # what the carried cells span, in the sequence's currency: their chains
-    # (first) or the cells themselves; not held through the replay
-    on_target = cells == sorted(plan.target_cells) and plan.retained == frozenset(
-        hom.poset.chains(within=cells) if first else cells
-    )
     remaining, report = execute_collapses(ambient, plan.sequence)
+    span = hom.poset.chains(within=cells) if first else cells  # built after the replay, so not held through it
     before, after = betti(hom, coefficients), betti(folded, coefficients)
-    return _judge(report, remaining, plan.retained, before, after, None if on_target else cause)
+    return _judge(report, remaining, span, before, after, None if cells == sorted(plan.target_cells) else cause)
 
 
 def _judge(report, remaining, expected_remaining, before, after, carry_failure=None) -> Verdict:

@@ -69,7 +69,7 @@ def sub_complex(hom, ids):
     """The cells of hom with the given ids, a down-set, as a HomComplex of
     their own, renumbered in id order; it is read through facets() only."""
     cells = tuple(hom.cells[i] for i in sorted(ids))
-    return HomComplex(hom.domain, hom.codomain, cells, {c: k for k, c in enumerate(cells)})
+    return HomComplex(hom.domain, hom.codomain, cells)
 
 
 def reference_replay(ambient, seq):

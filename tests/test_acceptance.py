@@ -187,7 +187,7 @@ def second_sweep(corpus, foldable):
             if not verdict.all_pass:
                 failures.append(f"Hom({hname}, {gname}): {verdict.to_json()}")
             matching = Matching(
-                plan.hom.poset, frozenset(plan.sequence.steps), plan.retained
+                plan.hom.poset, frozenset(plan.sequence.steps), frozenset(plan.target_cells)
             )
             acyclic, certificate = verify_acyclic_matching(matching)
             if not acyclic:
@@ -396,8 +396,8 @@ def test_criterion_9_cellular_homology_matches_order_complex(corpus, foldable, s
         for rec in second_sweep["records"]:
             g, h = corpus[rec["g"]], corpus[rec["h"]]
             plan = second_arg_collapse(h, g, folds[rec["g"]], None, CELL_CAP)
-            retained = sub_complex(plan.hom, plan.retained)
-            complexes.append((retained, plan.hom.poset.restrict(plan.retained)))
+            retained = sub_complex(plan.hom, plan.target_cells)
+            complexes.append((retained, plan.hom.poset.restrict(plan.target_cells)))
         # each cell complex with its face poset, whose order complex is the oracle
         for cells, p in complexes:
             oracle = order_complex(p)

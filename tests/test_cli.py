@@ -433,30 +433,11 @@ def test_verify_first_fails_when_target_is_not_the_folded_complex(graphs, capsys
     assert verdict["valid"] is True and verdict["remaining_matches"] is False
 
 
-def test_verify_first_fails_when_retained_is_not_what_the_target_spans(graphs, capsys, monkeypatch):
-    build = cli.first_arg_collapse
-
-    def tampered(*args):  # no steps, so every chain survives and is claimed; the target is left alone
-        plan = build(*args)
-        sequence = dataclasses.replace(plan.sequence, steps=())
-        return dataclasses.replace(plan, sequence=sequence, retained=frozenset(plan.hom.poset.chains()))
-
-    monkeypatch.setattr(cli, "first_arg_collapse", tampered)
-    code, out, err = run(
-        capsys,
-        ["verify", "-G", graphs["p3"], "-H", graphs["k3"],
-         "--side", "first", "--fold-vertex", "0", "--json"],
-    )
-    assert code == 1 and "verify: FAIL" in err
-    assert err.endswith("  failure: target cells do not pull back one-to-one onto Hom(G - v, H)\n")
-    verdict = json.loads(out)["verdict"]
-    assert verdict["valid"] is True and verdict["remaining_matches"] is False
-
-
 PAW = "n 4\ne 0 1\ne 0 2\ne 1 2\ne 2 3\n"  # a triangle with vertex 3 hanging off 2
+PUSHFORWARD_FAILURE = "target cells are not Hom(K, G - v) pushed forward one-to-one"
 
 
-@pytest.mark.parametrize("tamper", ["unfolded", "retained", "drop", "add"])
+@pytest.mark.parametrize("tamper", ["unfolded", "drop", "add"])
 def test_verify_second_fails_when_target_is_not_the_folded_complex(graphs, capsys, monkeypatch, tmp_path, tamper):
     build = cli.second_arg_collapse
 
@@ -466,10 +447,7 @@ def test_verify_second_fails_when_target_is_not_the_folded_complex(graphs, capsy
         if tamper == "unfolded":  # no steps, so every cell survives and is the target
             everything = tuple(range(len(plan.hom.cells)))
             sequence = dataclasses.replace(plan.sequence, steps=())
-            return dataclasses.replace(plan, sequence=sequence, retained=frozenset(everything), target_cells=everything)
-        if tamper == "retained":  # the same, but the target is left alone
-            sequence = dataclasses.replace(plan.sequence, steps=())
-            return dataclasses.replace(plan, sequence=sequence, retained=frozenset(range(len(plan.hom.cells))))
+            return dataclasses.replace(plan, sequence=sequence, target_cells=everything)
         if tamper == "drop":
             target = target[1:]
         else:
@@ -484,9 +462,11 @@ def test_verify_second_fails_when_target_is_not_the_folded_complex(graphs, capsy
         ["verify", "-G", graphs["k2"], "-H", str(paw), "--side", "second", "--fold-vertex", "3", "--json"],
     )
     assert code == 1 and "verify: FAIL" in err
-    assert err.endswith("  failure: target cells are not Hom(K, G - v) pushed forward one-to-one\n")
+    # with no steps every cell survives, and the survivors check comes before the pushforward's
+    cause = "survivors differ from the target" if tamper == "unfolded" else PUSHFORWARD_FAILURE
+    assert err.endswith(f"  failure: {cause}\n")
     verdict = json.loads(out)["verdict"]
-    # the replay lands on the plan's survivors and the Betti numbers agree; only the Hom-level check fails
+    # the replay is legal and the Betti numbers agree; only the Hom-level check fails
     assert verdict["valid"] is True and verdict["remaining_matches"] is False
     assert verdict["betti_before"] == verdict["betti_after"]
 
@@ -664,6 +644,13 @@ def test_verify_second_builds_no_face_poset(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, ["verify", *map(str, argv), "--side", "second", "--fold-vertex", "4"])
         assert code == 0 and err == ""
         assert out == f"verify: PASS side=second fold=(4,1) {summary}\n"
+    # nor does writing a plan, whose retained cells are its target cells
+    plan_file = tmp_path / "plan.json"
+    argv = ["collapse", "-G", files["c5"], "-H", files["k4p"], "--side", "second", "--fold-vertex", "4"]
+    code, out, err = run(capsys, [*map(str, argv), "--out", str(plan_file)])
+    assert code == 0 and err == ""
+    assert out == "plan: side=second fold=(4,1) steps=240 ambient_cells=2640 target_cells=2160\n"
+    assert len(json.loads(plan_file.read_text())["retained"]) == 2160
 
 
 def test_missing_graph_file(graphs, capsys, tmp_path):

@@ -135,7 +135,7 @@ def test_second_arg_collapse_edge_into_path():
         (named[((1,), (0,))], named[((1,), (0, 2))]),
     )
     assert plan.sequence.steps == expected_steps
-    assert set(plan.retained) == {named[((1,), (2,))], named[((2,), (1,))]}
+    assert set(plan.target_cells) == {named[((1,), (2,))], named[((2,), (1,))]}
     verdict = verify_plan(plan)
     assert verdict.all_pass
     assert verdict.betti_before == (2,)
@@ -144,7 +144,7 @@ def test_second_arg_collapse_edge_into_path():
 def test_second_arg_retained_avoid_folded_vertex():
     rng = random.Random(83)
     plan = second_arg_collapse(path_graph(3), path_graph(3), FoldWitness(0, 2))
-    for cid in plan.retained:
+    for cid in plan.target_cells:
         assert all(0 not in vs for vs in cell_vertex_sets(plan.hom.cells[cid]))
     for free, cof in plan.sequence.steps:
         assert cell_dim(plan.hom.cells[cof]) == cell_dim(plan.hom.cells[free]) + 1
@@ -160,14 +160,14 @@ def test_second_arg_collapse_respects_vertex_order():
     vb = verify_plan(alt)
     assert va.all_pass and vb.all_pass
     assert va == vb  # the verdict is order-independent
-    assert base.retained == alt.retained
+    assert base.target_cells == alt.target_cells
     with pytest.raises(ValueError):
         second_arg_collapse(path_graph(3), path_graph(3), w, vertex_order=(0, 1))
 
 
 def test_second_arg_pairs_form_acyclic_matching():
     plan = second_arg_collapse(complete(2), path_graph(3), FoldWitness(0, 2))
-    m = Matching(plan.hom.poset, frozenset(plan.sequence.steps), plan.retained)
+    m = Matching(plan.hom.poset, frozenset(plan.sequence.steps), frozenset(plan.target_cells))
     ok, cert = verify_acyclic_matching(m)
     assert ok, cert
 
@@ -236,10 +236,36 @@ def test_plan_json_shape():
     assert data["vertex_order"] == [0, 1]
     assert data["sequence"]["mode"] == "cw"
     assert all(set(s) == {"free", "coface"} for s in data["sequence"]["steps"])
-    assert data["retained"] == sorted(plan.retained)
+    assert data["retained"] == retained_reading(plan)
 
     plan2 = first_arg_collapse(path_graph(3), complete(3), FoldWitness(0, 2))
     data2 = as_read(plan2.to_json())
     assert data2["vertex_order"] is None
     assert data2["sequence"]["mode"] == "simplicial"
-    assert data2["retained"] == sorted(list(s) for s in plan2.retained)
+    assert data2["retained"] == retained_reading(plan2)
+
+
+def retained_reading(plan):
+    """What a plan's JSON "retained" reads, found without the plan's own span
+    rule: the sorted simplices of the whole order complex whose entries are
+    all target cells (side first), or the ids of the cells whose sets all
+    avoid the folded vertex (side second)."""
+    if plan.side == "first":
+        target = set(plan.target_cells)
+        return [list(s) for s in sorted(order_complex(plan.hom.poset).simplices) if target.issuperset(s)]
+    vbit = 1 << plan.witness.v
+    return [cid for cid, cell in enumerate(plan.hom.cells) if not any(m & vbit for m in cell)]
+
+
+def test_plan_json_retained_on_random_pairs():
+    # the "retained" bytes of collapse --out, on both sides, beyond the pinned digests
+    rng = random.Random(97)
+    seen = {"first": 0, "second": 0}
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 4), 0.6, loops=True)
+        h = random_graph(rng, rng.randint(1, 3), 0.7, loops=True)
+        for w in find_folds(g)[:1]:
+            for plan in (first_arg_collapse(g, h, w), second_arg_collapse(h, g, w)):
+                assert as_read(plan.to_json())["retained"] == retained_reading(plan)
+                seen[plan.side] += len(plan.target_cells) < len(plan.hom)  # some steps to replay
+    assert min(seen.values()) >= 10

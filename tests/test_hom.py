@@ -217,6 +217,17 @@ def test_enumeration_builds_no_poset(monkeypatch, capsys, tmp_path):
     assert made == [] and len(json.loads(out.read_text())["covers"]) == 42
 
 
+def test_cell_index_is_derived_from_the_cells():
+    hom = enumerate_hom_cells(path_graph(3), complete(5))
+    assert len(hom) > 256  # so most ids are not the interpreter's shared small ints
+    fresh = HomComplex(hom.domain, hom.codomain, hom.cells)
+    index = fresh.cell_index
+    assert len(index) == len(fresh) and all(index[c] == k for k, c in enumerate(fresh.cells))
+    assert fresh.cell_index is index and fresh == hom
+    # the poset's ids are the index's own int objects, as its docstring promises
+    assert all(a is b for a, b in zip(fresh.poset.ids, index.values(), strict=True))
+
+
 def test_side_second_plan_builds_no_poset():
     plan = second_arg_collapse(complete(2), path_graph(3), FoldWitness(0, 2))
     assert len(plan.sequence) > 0 and "poset" not in vars(plan.hom)
@@ -257,7 +268,8 @@ def test_lazy_poset_matches_the_validating_constructor():
         assert as_read(hom.to_json()) == as_read({"elements": records, "covers": ref.covers})
         # upper_covers only looks up: it reads no edge of G or H, and it reads
         # each tuple that adds one vertex to one set of a cell once
-        watched = HomComplex(edgeless(g.n), edgeless(h.n), hom.cells, WatchedIndex(hom.cell_index))
+        watched = HomComplex(edgeless(g.n), edgeless(h.n), hom.cells)
+        vars(watched)["cell_index"] = WatchedIndex(hom.cell_index)  # shadows the cached property
         ups = list(watched.upper_covers())
         assert ups == [ref.upper[i] for i in ids]
         grown = [
@@ -271,7 +283,7 @@ def test_covers_of_a_down_set_are_the_covers_among_its_cells():
     # a HomComplex of a down-set of cells, as compare_collapse builds for cw
     # survivors, has as covers the whole Hom's covers between kept cells
     plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
-    cases = [(plan.hom, plan.retained)]
+    cases = [(plan.hom, plan.target_cells)]
     rng = random.Random(61)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 3), rng.random(), loops=True)
@@ -285,7 +297,7 @@ def test_covers_of_a_down_set_are_the_covers_among_its_cells():
         want = sorted((renumber[a], renumber[b]) for a, b in hom.poset.covers if a in keep and b in keep)
         assert list(sub.poset.covers) == want
         assert as_read(sub.to_json())["covers"] == as_read(want)
-    assert len(cases[0][1]) < len(cases[0][0])  # the fold's retained cells are a proper down-set
+    assert len(cases[0][1]) < len(cases[0][0])  # the fold's target cells are a proper down-set
 
 
 class WatchedIndex(dict):

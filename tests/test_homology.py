@@ -477,7 +477,7 @@ def test_compare_collapse_names_the_first_failed_check():
 
 def test_compare_collapse_cw_mode_uses_cellular_homology():
     plan = second_arg_collapse(complete(2), path_graph(3), FoldWitness(0, 2))
-    verdict = compare_collapse(plan.hom, plan.sequence, plan.retained, "integer")
+    verdict = compare_collapse(plan.hom, plan.sequence, plan.target_cells, "integer")
     assert verdict.all_pass
     assert verdict.betti_before == (2,)
 
@@ -488,10 +488,10 @@ def test_compare_collapse_cw_mode_judges_a_stopped_replay():
     plan = second_arg_collapse(complete(2), k4_pendant(), FoldWitness(4, 1))
     steps = plan.sequence.steps
     # two legal steps, then the first again, whose cells are gone
-    stopped = compare_collapse(plan.hom, CollapseSequence("cw", steps[:2] + steps[:1]), plan.retained)
+    stopped = compare_collapse(plan.hom, CollapseSequence("cw", steps[:2] + steps[:1]), plan.target_cells)
     assert not stopped.valid and stopped.failed_step == 2
     assert stopped.betti_after == stopped.betti_before == (1, 0, 1)
-    partial = compare_collapse(plan.hom, CollapseSequence("cw", steps[:1]), plan.retained, "integer")
+    partial = compare_collapse(plan.hom, CollapseSequence("cw", steps[:1]), plan.target_cells, "integer")
     assert partial.valid and not partial.remaining_matches
     assert partial.betti_after == partial.betti_before == (1, 0, 1)
 
@@ -580,7 +580,7 @@ def _product(*factors):
     ]
     masks = tuple(tuple(sum(1 << v for v in a) for a in c) for c in cells)
     width = max(v for x in factors for v in x.vertices()) + 1
-    hom = HomComplex(edgeless(len(factors)), edgeless(width), masks, {c: k for k, c in enumerate(masks)})
+    hom = HomComplex(edgeless(len(factors)), edgeless(width), masks)
     return hom, FacePoset(range(len(cells)), covers)
 
 
