@@ -57,9 +57,10 @@ def _dump(payload, stream) -> None:
 
     The stdlib skips its C encoder when given an indent.  texts encodes a
     column at once: exact ints go in as is; rows (lists or tuples of one
-    length, such as covers) and records (dicts with one tuple of str keys,
-    such as poset elements) fill one str.format template column by column;
-    any other column is encoded once per distinct object, since hom labels
+    length) and records (dicts with one tuple of str keys, such as poset
+    elements) fill one str.format template column by column, except that
+    rows of exact ints, such as covers and chain rows, fill it row by row
+    as they are; any other column is encoded once per distinct object, since hom labels
     share their vertex tuples, and rows of several lengths (side-first
     chains) as one column per length.  one encodes a single value.  pieces
     streams every dict and list reached from the payload through dicts, a
@@ -96,7 +97,10 @@ def _dump(payload, stream) -> None:
                 template = "{{" + inner + ("," + inner).join(quoted) + pad + "}}"
                 rows = list(map(itemgetter(*keys), xs))
         if rows is not None:
-            return list(starmap(template.format, zip(*[texts(c, inner) for c in zip(*rows)])))
+            columns = list(zip(*rows))
+            if all(set(map(type, c)) == {int} for c in columns):  # exact ints, as covers and chain rows
+                return list(starmap(template.format, rows))
+            return list(starmap(template.format, zip(*[texts(c, inner) for c in columns])))
         ids = list(map(id, xs))
         distinct = dict(zip(ids, xs))
         if lengths:  # rows of several lengths, such as side-first chains: each length as a column

@@ -28,7 +28,7 @@ def _common_neighbors(h: Graph, mask: int) -> int:
 
 
 def cell_dim(cell: Cell) -> int:
-    return sum(m.bit_count() - 1 for m in cell)
+    return sum(map(int.bit_count, cell)) - len(cell)
 
 
 def cell_vertex_sets(cell: Cell) -> tuple[tuple[int, ...], ...]:
@@ -38,7 +38,8 @@ def cell_vertex_sets(cell: Cell) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class HomComplex:
     """Cells of Hom(domain, codomain), or a down-set of them, in id order;
-    cell_index, facets() and poset are derived from cells on first read."""
+    cell_index, the int keys, facets() and poset are derived from cells on
+    first read."""
 
     domain: Graph
     codomain: Graph
@@ -62,21 +63,24 @@ class HomComplex:
         """For each cell in id order, the sorted ids of its upper covers: the
         cells that add one vertex to one set.
 
-        Each tuple that adds a vertex missing from one set is looked up in
-        cell_index, so which tuples are cells is decided by
-        enumerate_hom_cells alone.  When the cells are only a down-set of a
-        Hom, a cover that is not among them is not found and left out.
+        Adding vertex v to the set m at position x moves a cell's int key
+        by (rank[m | v] - rank[m]) * weight[x]; each such key is looked up
+        in the key index, so which tuples are cells is decided by
+        enumerate_hom_cells alone.  An m | v that no cell has has no rank,
+        and no cover.  When the cells are only a down-set of a Hom, a cover
+        that is not among them is not found and left out.
         """
-        get = self.cell_index.get
+        rank, weight, ids = self._keys
+        get = ids.get
         vertices = [1 << a for a in range(self.codomain.n)]
-        # each mask's one-vertex extensions, as 1-tuples ready to splice into a cell
-        grown = {m: [(m | v,) for v in vertices if not m & v] for m in {m for c in self.cells for m in c}}
-        for cell in self.cells:
+        # each mask's rank steps to its one-vertex extensions that some cell has
+        steps = {m: [rank[m | v] - r for v in vertices if not m & v and m | v in rank] for m, r in rank.items()}
+        for key, cell in zip(ids, self.cells):
             ups = []
             for x, m in enumerate(cell):
-                head, tail = cell[:x], cell[x + 1 :]
-                for bigger in grown[m]:
-                    cid = get(head + bigger + tail)
+                w = weight[x]
+                for d in steps[m]:
+                    cid = get(key + d * w)
                     if cid is not None:
                         ups.append(cid)
             ups.sort()
@@ -87,10 +91,11 @@ class HomComplex:
 
         Dropping the j-th smallest vertex of a set A_x of two or more
         vertices is a face with incidence (-1)^e, e = sum over y < x of
-        (|A_y| - 1) + j: the product rule for simplices.  Every face is
-        looked up in cell_index, so the cells must be a down-set; the cells
-        of a Hom and those left by legal collapses are.  The lists are
-        derived on the first call and shared by every later one, so
+        (|A_y| - 1) + j: the product rule for simplices.  The face's int
+        key is the cell's moved by (rank[A_x - a] - rank[A_x]) * weight[x],
+        looked up in the key index, so the cells must be a down-set; the
+        cells of a Hom and those left by legal collapses are.  The lists
+        are derived on the first call and shared by every later one, so
         callers must not modify them.
         """
         return self._facets
@@ -100,17 +105,30 @@ class HomComplex:
         return {c: k for k, c in enumerate(self.cells)}
 
     @cached_property
+    def _keys(self) -> tuple[dict[int, int], list[int], dict[int, int]]:
+        """Each mask's rank, each position's digit weight, and {key: id},
+        built in id order: a cell's int key is the sort key of
+        enumerate_hom_cells, the sum of rank[A_x] * weight[x]."""
+        rank, key = _cell_key(self.cells)
+        n = self.domain.n
+        weight = [len(rank) ** (n - 1 - x) for x in range(n)]
+        return rank, weight, {key(c): k for k, c in enumerate(self.cells)}
+
+    @cached_property
     def _facets(self) -> list[list[tuple[int, int]]]:
-        index = self.cell_index
+        rank, weight, ids = self._keys
+        # each mask's rank steps to its faces, in the order of the dropped vertex
+        drops = {m: [rank[m ^ (1 << a)] - r for a in bits(m)] for m, r in rank.items() if m & (m - 1)}
         out = []
-        for cell in self.cells:
+        for key, cell in zip(ids, self.cells):
             faces = []
             e = 0  # sum over y < x of (|A_y| - 1)
             for x, m in enumerate(cell):
                 if m & (m - 1):
-                    head, tail = cell[:x], cell[x + 1 :]
-                    faces += ((index[head + (m ^ (1 << a),) + tail], e + j) for j, a in enumerate(bits(m)))
-                    e += m.bit_count() - 1
+                    w = weight[x]
+                    for j, d in enumerate(drops[m], e):
+                        faces.append((ids[key + d * w], j))
+                    e = j  # e + |A_x| - 1
             out.append(faces)
         return out
 
@@ -145,49 +163,10 @@ class HomComplex:
         }
 
 
-def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomComplex:
-    """Enumerate the cells of multihomomorphisms g -> h, in label order.
-
-    Vertices of g are assigned in index order; at each step the candidate
-    set is the common neighborhood of everything already chosen across
-    earlier edges, so dead branches are cut before they fan out.  Raises
-    ResourceLimitError once more than max_cells cells have been produced.
-    """
-    if max_cells < 1:
-        raise ValueError("max_cells must be positive")
-    full = (1 << h.n) - 1
-    looped = [bool(g.adj[x] >> x & 1) for x in range(g.n)]
-    earlier = [[y for y in bits(g.adj[x]) if y < x] for x in range(g.n)]
-    cells: list[Cell] = []
-    assignment = [0] * g.n
-
-    def choices(x: int):
-        # sets for vertex x given assignment[:x]; past the last vertex, record the cell
-        if x == g.n:
-            cells.append(tuple(assignment))
-            if len(cells) > max_cells:
-                raise ResourceLimitError(max_cells, "cell")
-            return
-        allowed = full
-        for y in earlier[x]:
-            allowed &= _common_neighbors(h, assignment[y])
-        s = allowed
-        while s:
-            if not looped[x] or s & ~_common_neighbors(h, s) == 0:
-                yield s
-            s = (s - 1) & allowed
-
-    stack = [choices(0)]  # one generator per vertex, so deep domains miss the recursion limit
-    while stack:
-        s = next(stack[-1], 0)
-        if s:
-            assignment[len(stack) - 1] = s
-            stack.append(choices(len(stack)))
-        else:
-            stack.pop()
-    # cells in the lexicographic order of their vertex-set labels: rank the
-    # distinct masks by their vertex tuples, then read a cell's ranks as the
-    # digits of one mixed-radix number
+def _cell_key(cells):
+    """Each distinct mask of cells ranked by its vertex tuple, and the key
+    that reads a cell's ranks as the digits of one mixed-radix number: keys
+    order cells as their vertex-set labels are ordered."""
     masks = sorted({m for c in cells for m in c}, key=lambda m: tuple(bits(m)))
     rank = {m: r for r, m in enumerate(masks)}
     radix = len(masks)
@@ -198,7 +177,56 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
             k = k * radix + rank[m]
         return k
 
-    cells.sort(key=key)
+    return rank, key
+
+
+def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomComplex:
+    """Enumerate the cells of multihomomorphisms g -> h, in label order.
+
+    Vertices of g are assigned in index order, one generator of candidate
+    sets per vertex; at each step the candidates are the subsets of the
+    common neighborhoods, computed once as each earlier neighbor was
+    assigned, so dead branches are cut before they fan out.  Each set of
+    the last vertex completes a cell, recorded at once.  Raises
+    ResourceLimitError once more than max_cells cells have been produced.
+    """
+    if max_cells < 1:
+        raise ValueError("max_cells must be positive")
+    full = (1 << h.n) - 1
+    looped = [bool(g.adj[x] >> x & 1) for x in range(g.n)]
+    earlier = [[y for y in bits(g.adj[x]) if y < x] for x in range(g.n)]
+    cells: list[Cell] = [] if g.n else [()]  # the empty domain has one cell
+    assignment = [0] * g.n
+    common = [full] * g.n  # common[y]: the common neighborhood of assignment[y]
+    last = g.n - 1
+
+    def choices(x: int):
+        # sets for vertex x given assignment[:x]
+        allowed = full
+        for y in earlier[x]:
+            allowed &= common[y]
+        s = allowed
+        while s:
+            if not looped[x] or s & ~_common_neighbors(h, s) == 0:
+                yield s
+            s = (s - 1) & allowed
+
+    stack = [choices(0)] if g.n else []  # one generator per vertex, so deep domains miss the recursion limit
+    while stack:
+        x = len(stack) - 1
+        if x == last:  # each set of the last vertex completes a cell
+            for s in stack.pop():
+                assignment[x] = s
+                cells.append(tuple(assignment))
+                if len(cells) > max_cells:
+                    raise ResourceLimitError(max_cells, "cell")
+        elif s := next(stack[-1], 0):
+            assignment[x] = s
+            common[x] = _common_neighbors(h, s)
+            stack.append(choices(x + 1))
+        else:
+            stack.pop()
+    cells.sort(key=_cell_key(cells)[1])  # in the lexicographic order of their vertex-set labels
     return HomComplex(g, h, tuple(cells))
 
 

@@ -142,7 +142,6 @@ def test_second_arg_collapse_edge_into_path():
 
 
 def test_second_arg_retained_avoid_folded_vertex():
-    rng = random.Random(83)
     plan = second_arg_collapse(path_graph(3), path_graph(3), FoldWitness(0, 2))
     for cid in plan.target_cells:
         assert all(0 not in vs for vs in cell_vertex_sets(plan.hom.cells[cid]))

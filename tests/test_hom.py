@@ -91,11 +91,21 @@ def test_loops():
 
 def test_cells_match_brute_force():
     rng = random.Random(17)
+    pairs = [
+        (edgeless(0), complete(3)),  # the empty domain: one empty cell
+        (edgeless(1), complete(3)),  # one vertex, the first and the last
+        (loop_vertex(), Graph.from_edges(3, [(0, 0), (0, 1), (1, 1), (1, 2)])),
+        (edgeless(2), edgeless(0)),  # an empty codomain: no cell
+        (edgeless(0), edgeless(0)),  # unless the domain is empty too
+    ]
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 3), rng.random(), loops=True)
         h = random_graph(rng, rng.randint(1, 3), rng.random(), loops=True)
+        pairs.append((g, h))
+    for g, h in pairs:
         expected = {tuple(map(frozenset, c)) for c in brute_hom_cells(g, h)}
         assert as_sets(enumerate_hom_cells(g, h)) == expected
+    assert [len(enumerate_hom_cells(g, h)) for g, h in pairs[:5]] == [1, 7, 3, 0, 1]
 
 
 def test_zero_cells_are_exactly_homomorphisms():
@@ -267,16 +277,19 @@ def test_lazy_poset_matches_the_validating_constructor():
         records = [{"id": k, "dim": cell_dim(c), "label": l} for k, (c, l) in enumerate(zip(hom.cells, labels))]
         assert as_read(hom.to_json()) == as_read({"elements": records, "covers": ref.covers})
         # upper_covers only looks up: it reads no edge of G or H, and it reads
-        # each tuple that adds one vertex to one set of a cell once
+        # once the int key of each tuple that adds one vertex to one set of a
+        # cell, when some cell has the grown set
+        rank, weight, index = hom._keys
         watched = HomComplex(edgeless(g.n), edgeless(h.n), hom.cells)
-        vars(watched)["cell_index"] = WatchedIndex(hom.cell_index)  # shadows the cached property
+        vars(watched)["_keys"] = rank, weight, WatchedIndex(index)  # shadows the cached property
         ups = list(watched.upper_covers())
         assert ups == [ref.upper[i] for i in ids]
         grown = [
             c[:x] + (m | 1 << a,) + c[x + 1 :]
-            for c in hom.cells for x, m in enumerate(c) for a in range(h.n) if not m >> a & 1
+            for c in hom.cells for x, m in enumerate(c) for a in range(h.n) if not m >> a & 1 and m | 1 << a in rank
         ]
-        assert sorted(watched.cell_index.read) == sorted(grown)
+        assert sorted(watched._keys[2].read) == sorted(sum(map(int.__mul__, map(rank.get, c), weight)) for c in grown)
+        assert all(index[sum(map(int.__mul__, map(rank.get, c), weight))] == k for k, c in enumerate(hom.cells))
 
 
 def test_covers_of_a_down_set_are_the_covers_among_its_cells():
@@ -297,6 +310,10 @@ def test_covers_of_a_down_set_are_the_covers_among_its_cells():
         want = sorted((renumber[a], renumber[b]) for a, b in hom.poset.covers if a in keep and b in keep)
         assert list(sub.poset.covers) == want
         assert as_read(sub.to_json())["covers"] == as_read(want)
+        # its int keys rank only its own masks, and its faces are still the label rule's
+        by_label = {cell_vertex_sets(c): k for k, c in enumerate(sub.cells)}
+        faces = [[(by_label[sets], e) for sets, e in _label_rule_faces(c)] for c in sub.cells]
+        assert sub.facets() == faces
     assert len(cases[0][1]) < len(cases[0][0])  # the fold's target cells are a proper down-set
 
 
@@ -354,6 +371,12 @@ class Sink:
 def test_max_cells_budget():
     with pytest.raises(ResourceLimitError):
         enumerate_hom_cells(edgeless(3), complete(4), max_cells=1000)
+    # the budget is exact, on a loopless pair and on a looped one
+    for g, h in ((path_graph(3), complete(3)), (cycle(3), Graph.from_edges(3, [(0, 0), (0, 1), (1, 1), (1, 2)]))):
+        count = len(enumerate_hom_cells(g, h))
+        assert count > 1 and len(enumerate_hom_cells(g, h, max_cells=count)) == count
+        with pytest.raises(ResourceLimitError):
+            enumerate_hom_cells(g, h, max_cells=count - 1)
     with pytest.raises(ValueError):
         enumerate_hom_cells(edgeless(1), complete(2), max_cells=0)
 
