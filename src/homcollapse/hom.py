@@ -192,10 +192,12 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
     """
     if max_cells < 1:
         raise ValueError("max_cells must be positive")
+    if not g.n:
+        return HomComplex(g, h, ((),))  # the empty domain has one cell
     full = (1 << h.n) - 1
     looped = [bool(g.adj[x] >> x & 1) for x in range(g.n)]
     earlier = [[y for y in bits(g.adj[x]) if y < x] for x in range(g.n)]
-    cells: list[Cell] = [] if g.n else [()]  # the empty domain has one cell
+    cells: list[Cell] = []
     assignment = [0] * g.n
     common = [full] * g.n  # common[y]: the common neighborhood of assignment[y]
     last = g.n - 1
@@ -211,7 +213,7 @@ def enumerate_hom_cells(g: Graph, h: Graph, max_cells: int = 1_000_000) -> HomCo
                 yield s
             s = (s - 1) & allowed
 
-    stack = [choices(0)] if g.n else []  # one generator per vertex, so deep domains miss the recursion limit
+    stack = [choices(0)]  # one generator per vertex, so deep domains miss the recursion limit
     while stack:
         x = len(stack) - 1
         if x == last:  # each set of the last vertex completes a cell
