@@ -29,6 +29,7 @@ from .graphs import (
     FoldWitness,
     GraphParseError,
     apply_fold,
+    bits,
     find_folds,
     format_graph,
     parse_graph,
@@ -59,19 +60,18 @@ def _dump(payload, stream) -> None:
     column at once: exact ints go in as is; rows (lists or tuples of one
     length) and records (dicts with one tuple of str keys, such as poset
     elements) fill one str.format template column by column, except that
-    rows of exact ints, such as covers and chain rows, fill it row by row
-    as they are; any other column is encoded once per distinct object, since hom labels
-    share their vertex tuples, and rows of several lengths (side-first
-    chains) as one column per length.  one encodes a single value.  pieces
-    streams every dict and list reached from the payload through dicts, a
-    dict key by key and a list 1024 items at a time, so the whole text is
-    never held at once.  An iterator reached from the payload through dicts,
-    such as the generators of elements, covers and steps in hom and
-    collapse payloads, is written as the list it yields, and only one
-    chunk of its items is held at a time.  Dict keys must be strs; any
-    other key raises TypeError.  The helpers are nested because perfbench's
-    tracer wraps every function of this module, and a span per call would
-    measure the tracer.
+    rows of exact ints, such as chain rows, fill it row by row as they are;
+    any other column is encoded once per distinct object, since rows can
+    share their tuples, and rows of several lengths (side-first chains) as
+    one column per length.  one encodes a single value.  pieces streams
+    every dict and list reached from the payload through dicts, a dict key
+    by key and a list 1024 items at a time, so the whole text is never held
+    at once.  An iterator reached from the payload through dicts, such as
+    the generator of steps in collapse payloads, is written as the list it
+    yields, and only one chunk of its items is held at a time.  Dict keys
+    must be strs; any other key raises TypeError.  The helpers are nested
+    because perfbench's tracer wraps every function of this module, and a
+    span per call would measure the tracer.
     """
     chunk_size = 1024
     quote = json.encoder.encode_basestring_ascii
@@ -98,7 +98,7 @@ def _dump(payload, stream) -> None:
                 rows = list(map(itemgetter(*keys), xs))
         if rows is not None:
             columns = list(zip(*rows))
-            if all(set(map(type, c)) == {int} for c in columns):  # exact ints, as covers and chain rows
+            if all(set(map(type, c)) == {int} for c in columns):  # exact ints, as chain rows
                 return list(starmap(template.format, rows))
             return list(starmap(template.format, zip(*[texts(c, inner) for c in columns])))
         ids = list(map(id, xs))
@@ -152,12 +152,48 @@ def _dump(payload, stream) -> None:
     stream.write("\n")
 
 
-def _emit(args, payload) -> None:
+def _dump_hom(hom, stream) -> None:
+    """Write json.dump(poset, stream, indent=2, sort_keys=True) and a newline, poset being hom's labelled face poset."""
+    n = hom.domain.n
+
+    def rows():
+        # each cell's cover rows [a, b] as one text: str(a) is formatted once, into the separator
+        for a, bs in enumerate(hom.upper_covers()):
+            if bs:
+                row = "[\n      %d,\n      " % a
+                yield row + ("\n    ],\n    " + row).join(map(str, bs)) + "\n    ]"
+
+    def records():
+        # one text per distinct vertex set; each record fills one template with its dim, id and sets
+        sets = {m: "[\n          " + ",\n          ".join(map(str, bits(m))) + "\n        ]"
+                for m in {m for c in hom.cells for m in c}}
+        label = "[\n        %s\n      ]" if n else "[%s]"  # the empty domain's one label is []
+        template = '{\n      "dim": %d,\n      "id": %d,\n      "label": ' + label + "\n    }"
+        for k, cell in enumerate(hom.cells):
+            yield template % (sum(map(int.bit_count, cell)) - n, k, ",\n        ".join(map(sets.__getitem__, cell)))
+
+    def items(texts):
+        # the list of texts, 1024 cells' texts at a time
+        head, sep = "[", "\n    "
+        while chunk := list(islice(texts, 1024)):
+            yield head + sep + ",\n    ".join(chunk)
+            head, sep, chunk = "", ",\n    ", None  # one chunk held at a time
+        yield "[]" if head else "\n  ]"
+
+    stream.write('{\n  "covers": ')
+    stream.writelines(items(rows()))
+    stream.write(',\n  "elements": ')
+    stream.writelines(items(records()))
+    stream.write("\n}\n")
+
+
+def _emit(args, payload, dump=None) -> None:
+    dump = dump or _dump  # looked up when called, so a wrapped or patched _dump is the one used
     if args.out:
         with open(args.out, "w") as f:
-            _dump(payload, f)
+            dump(payload, f)
     elif args.json:
-        _dump(payload, sys.stdout)
+        dump(payload, sys.stdout)
 
 
 def _summary(args, text: str) -> None:
@@ -196,7 +232,7 @@ def cmd_hom(args) -> int:
     h = _read_graph(args.codomain)
     hom = enumerate_hom_cells(g, h, args.max_cells)
     _summary(args, f"cells: {len(hom)}  f-vector: {list(hom.f_vector())}")
-    _emit(args, hom.to_json())
+    _emit(args, hom, _dump_hom)
     return EXIT_OK
 
 

@@ -31,10 +31,6 @@ def cell_dim(cell: Cell) -> int:
     return sum(map(int.bit_count, cell)) - len(cell)
 
 
-def cell_vertex_sets(cell: Cell) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(bits(m)) for m in cell)
-
-
 @dataclass(frozen=True)
 class HomComplex:
     """Cells of Hom(domain, codomain), or a down-set of them, in id order;
@@ -52,12 +48,6 @@ class HomComplex:
         """Cell counts by dimension."""
         counts = Counter(map(cell_dim, self.cells))
         return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
-
-    def _labels(self):
-        """Each cell's vertex sets, in id order; labels share one tuple per distinct set."""
-        vertex_set = {m: tuple(bits(m)) for m in {m for c in self.cells for m in c}}
-        for cell in self.cells:
-            yield tuple(map(vertex_set.__getitem__, cell))
 
     def upper_covers(self):
         """For each cell in id order, the sorted ids of its upper covers: the
@@ -148,19 +138,6 @@ class HomComplex:
         for b, xs in lower.items():  # in place, so no second copy of every list is held
             lower[b] = tuple(xs)
         return FacePoset._from_hasse(ids, upper, lower)
-
-    def to_json(self) -> dict:
-        """The face poset's JSON, dims and vertex-set labels included, with
-        no poset built: its element records and its covers (a, b), a in id
-        order, are generators, read once as written."""
-        n = self.domain.n
-        return {
-            "elements": (
-                {"id": cid, "dim": sum(map(len, sets)) - n, "label": sets}
-                for cid, sets in enumerate(self._labels())
-            ),
-            "covers": ((a, b) for a, bs in enumerate(self.upper_covers()) for b in bs),
-        }
 
 
 def _cell_key(cells):

@@ -3,14 +3,16 @@
 The oracles here deliberately avoid the library's own data paths: subset
 enumeration over itertools, reachability by repeated squaring over cover
 lists, homomorphism search over raw product loops, a collapse replay that
-fires one step at a time.  The partition-lattice fixture at the end is a
-worked closure example for the collapse tests.
+fires one step at a time, a Hom's face-poset JSON as a dict for json.dump.
+The partition-lattice fixture at the end is a worked closure example for
+the collapse tests.
 """
 
 import itertools
 import json
 
 from homcollapse import CollapseReport, FacePoset, Graph, HomComplex, PosetMap, SimplicialComplex, cell_dim
+from homcollapse.graphs import bits
 
 
 def as_read(value):
@@ -70,6 +72,32 @@ def sub_complex(hom, ids):
     their own, renumbered in id order; it is read through facets() only."""
     cells = tuple(hom.cells[i] for i in sorted(ids))
     return HomComplex(hom.domain, hom.codomain, cells)
+
+
+def cell_vertex_sets(cell):
+    return tuple(tuple(bits(m)) for m in cell)
+
+
+def hom_labels(hom):
+    """Each cell's vertex sets, in id order; labels share one tuple per distinct set."""
+    vertex_set = {m: tuple(bits(m)) for m in {m for c in hom.cells for m in c}}
+    for cell in hom.cells:
+        yield tuple(map(vertex_set.__getitem__, cell))
+
+
+def hom_json(hom):
+    """The face poset's JSON, dims and vertex-set labels included, with no
+    poset built, as the oracle for the CLI's hom writer: its element records
+    and its covers (a, b), a in id order, are generators, read once as
+    written."""
+    n = hom.domain.n
+    return {
+        "elements": (
+            {"id": cid, "dim": sum(map(len, sets)) - n, "label": sets}
+            for cid, sets in enumerate(hom_labels(hom))
+        ),
+        "covers": ((a, b) for a, bs in enumerate(hom.upper_covers()) for b in bs),
+    }
 
 
 def reference_replay(ambient, seq):

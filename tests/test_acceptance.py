@@ -48,9 +48,9 @@ from homcollapse import (
     verify_plan,
 )
 from homcollapse.cli import main as cli_main
-from homcollapse.hom import cell_vertex_sets
 
 from helpers import (
+    cell_vertex_sets,
     disconnected_graph_fixture,
     face_poset_simplices,
     loop_fold_pair,

@@ -3,15 +3,18 @@ import hashlib
 import io
 import json
 import random
+import re
 import time
 
 import pytest
 
 from homcollapse import (
     FacePoset,
+    Graph,
     HomComplex,
     PosetMap,
     betti,
+    enumerate_hom_cells,
     format_graph,
     parse_graph,
     verify_closure_operator,
@@ -20,7 +23,7 @@ from homcollapse import cli, folds, homology
 from homcollapse.cli import main
 from homcollapse.closure import MAX_RANDOM_ELEMENTS
 
-from helpers import complete, cycle, k4_pendant, path_graph
+from helpers import complete, cycle, edgeless, hom_json, k4_pendant, path_graph, random_graph, sub_complex
 
 K2 = "n 2\ne 0 1\n"
 K3 = "n 3\ne 0 1\ne 0 2\ne 1 2\n"
@@ -893,7 +896,6 @@ def test_dump_matches_json_dump_on_every_command(graphs, capsys, monkeypatch, tm
     rp2 = tmp_path / "rp2.json"
     rp2.write_text(json.dumps({"vertices": list(range(6)), "facets": RP2_FACETS}))
     commands = {
-        "hom": ["hom", "-G", graphs["p3"], "-H", graphs["k3"]],
         "fold list": ["fold", "-G", graphs["p3"]],
         "fold apply": ["fold", "-G", graphs["p3"], "--fold-vertex", "0"],
         "collapse first": ["collapse", "-G", graphs["p3"], "-H", graphs["k3"],
@@ -920,3 +922,65 @@ def test_dump_matches_json_dump_on_every_command(graphs, capsys, monkeypatch, tm
     assert payloads["homology gf2"]["torsion"] is None
     for command, payload in payloads.items():
         assert dumped(payload) == oracle(again[command], default=list), command
+    # hom writes its own payload, the face poset of its cells
+    code, out, _ = run(capsys, ["hom", "-G", graphs["p3"], "-H", graphs["k3"], "--json"])
+    hom = enumerate_hom_cells(path_graph(3), complete(3))
+    assert code == 0 and out == oracle(hom_json(hom), default=list)
+
+
+def dumped_hom(hom) -> str:
+    out = io.StringIO()
+    cli._dump_hom(hom, out)
+    return out.getvalue()
+
+
+def test_dump_hom_matches_json_dump_of_the_reference():
+    rng = random.Random(31)
+    homs = [enumerate_hom_cells(random_graph(rng, rng.randint(1, 4), rng.random(), loops=True),
+                                random_graph(rng, rng.randint(1, 4), rng.random(), loops=True))
+            for _ in range(60)]
+    edge_cases = [
+        enumerate_hom_cells(Graph.from_edges(0, []), complete(3)),  # the empty domain: one cell (), labelled []
+        enumerate_hom_cells(complete(3), complete(2)),  # an empty Hom
+        enumerate_hom_cells(edgeless(2), edgeless(3)),  # an edgeless H
+        enumerate_hom_cells(complete(2), complete(2)),  # cells with no covers
+    ]
+    assert list(map(len, edge_cases)) == [1, 0, 49, 2] and not any(edge_cases[-1].upper_covers())
+    whole = enumerate_hom_cells(cycle(5), k4_pendant())
+    tops = [i for i in range(len(whole)) if rng.random() < 0.05]
+    down_set = sub_complex(whole, set(tops).union(*map(whole.poset.below, tops)))  # covers among kept cells only
+    assert 0 < len(down_set) < len(whole)
+    for hom in homs + edge_cases + [down_set]:
+        assert dumped_hom(hom) == json.dumps(hom_json(hom), indent=2, sort_keys=True, default=list) + "\n"
+
+
+def test_hom_json_stdout_is_the_out_file(capsys, tmp_path):
+    files = {}
+    for name, g in (("c5", cycle(5)), ("k4p", k4_pendant()), ("n0", Graph.from_edges(0, []))):
+        files[name] = tmp_path / f"{name}.graph"
+        files[name].write_text(format_graph(g))
+    target = tmp_path / "hom.json"
+    for g, summary in (("c5", "cells: 2640"), ("n0", "cells: 1  f-vector: [1]")):
+        argv = ["hom", "-G", str(files[g]), "-H", str(files["k4p"])]
+        code, out, err = run(capsys, argv + ["--json"])
+        assert code == 0 and err.startswith(summary) and err.count("\n") == 1
+        assert run(capsys, argv + ["--out", str(target)])[0] == 0
+        assert target.read_text() == out
+        # under --json and --out, only the file is written
+        target.unlink()
+        code, also, err = run(capsys, argv + ["--json", "--out", str(target)])
+        assert code == 0 and err == "" and also.startswith(summary) and also.count("\n") == 1
+        assert target.read_text() == out
+
+
+def test_dump_hom_writes_a_chunk_of_cells_at_a_time():
+    # Hom(C5, K4p): 2,640 cells and 8,100 covers, so both lists take several chunks
+    hom = enumerate_hom_cells(cycle(5), k4_pendant())
+    stream = RecordingStream()
+    cli._dump_hom(hom, stream)
+    assert "".join(stream.writes) == dumped_hom(hom)
+    # a cell opens its cover rows with [ and its id, or its record with {
+    cells = [len(set(re.findall(r"\n    \[\n      (\d+),", w))) + w.count("\n    {") for w in stream.writes]
+    with_covers = sum(map(bool, hom.upper_covers()))
+    assert 1024 < with_covers < len(hom) and sum(cells) == with_covers + len(hom)
+    assert max(cells) <= 1024, cells

@@ -1,6 +1,10 @@
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
+import helpers
 import homcollapse
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -11,6 +15,15 @@ def test_every_export_resolves_once():
     names = homcollapse.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(homcollapse, n)] == []
+
+
+def test_reference_oracles_are_not_library_names():
+    # an oracle moved out of the library into helpers.py, such as hom_json or
+    # cell_vertex_sets, leaves no copy behind in any module of the package
+    oracles = {n for n, v in vars(helpers).items() if inspect.isfunction(v) and v.__module__ == "helpers"}
+    assert {"cell_vertex_sets", "hom_json"} <= oracles
+    for info in pkgutil.iter_modules(homcollapse.__path__):
+        assert oracles.isdisjoint(vars(importlib.import_module(f"homcollapse.{info.name}"))), info.name
 
 
 def unused_imports(source: str) -> list[str]:

@@ -12,7 +12,6 @@ from homcollapse import (
     apply_fold,
     alpha_beta_maps,
     cell_dim,
-    cell_vertex_sets,
     enumerate_hom_cells,
     find_folds,
     first_arg_collapse,
@@ -25,7 +24,7 @@ from homcollapse import (
     verify_closure_operator,
     verify_plan,
 )
-from helpers import as_read, complete, cycle, loop_fold_pair, path_graph, random_graph, star
+from helpers import as_read, cell_vertex_sets, complete, cycle, loop_fold_pair, path_graph, random_graph, star
 
 
 def cells_named(hom):

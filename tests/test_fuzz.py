@@ -24,7 +24,7 @@ from homcollapse import (
     parse_graph,
     second_arg_collapse,
 )
-from helpers import as_read, complete, cycle, k4_pendant, path_graph
+from helpers import as_read, complete, cycle, hom_json, k4_pendant, path_graph
 
 MUTANTS = 400
 JUNK = [None, True, False, 0, 1, -1, 2, 7, 1.5, 1e400, "", "0", "id", [], [0], [0, 1], [[0, 1]],
@@ -71,7 +71,7 @@ def valid_inputs(reader):
     if reader is FacePoset:
         return [
             as_read(face_poset(SimplicialComplex.from_facets([(0, 1, 2), (2, 3)])).to_json()),
-            as_read(enumerate_hom_cells(p3, k3).to_json()),
+            as_read(hom_json(enumerate_hom_cells(p3, k3))),
         ]
     if reader is SimplicialComplex:
         return [

@@ -16,7 +16,6 @@ from homcollapse import (
     PosetMap,
     ResourceLimitError,
     cell_dim,
-    cell_vertex_sets,
     enumerate_hom_cells,
     format_graph,
     induced_contravariant,
@@ -30,9 +29,12 @@ from helpers import (
     as_read,
     brute_hom_cells,
     brute_homs,
+    cell_vertex_sets,
     complete,
     cycle,
     edgeless,
+    hom_json,
+    hom_labels,
     k4_pendant,
     loop_vertex,
     path_graph,
@@ -136,7 +138,7 @@ def test_cell_order_is_lexicographic():
     keys = [cell_vertex_sets(c) for c in hom.cells]
     assert keys == sorted(keys)
     # each element record names its cell's vertex sets and dimension
-    for k, (cell, record) in enumerate(zip(hom.cells, hom.to_json()["elements"])):
+    for k, (cell, record) in enumerate(zip(hom.cells, hom_json(hom)["elements"])):
         assert record == {"id": k, "dim": cell_dim(cell), "label": cell_vertex_sets(cell)}
 
 
@@ -275,7 +277,7 @@ def test_lazy_poset_matches_the_validating_constructor():
         assert p.ids == ref.ids
         assert p.upper == ref.upper and p.lower == ref.lower
         records = [{"id": k, "dim": cell_dim(c), "label": l} for k, (c, l) in enumerate(zip(hom.cells, labels))]
-        assert as_read(hom.to_json()) == as_read({"elements": records, "covers": ref.covers})
+        assert as_read(hom_json(hom)) == as_read({"elements": records, "covers": ref.covers})
         # upper_covers only looks up: it reads no edge of G or H, and it reads
         # once the int key of each tuple that adds one vertex to one set of a
         # cell, when some cell has the grown set
@@ -309,7 +311,7 @@ def test_covers_of_a_down_set_are_the_covers_among_its_cells():
         renumber = {i: k for k, i in enumerate(sorted(keep))}
         want = sorted((renumber[a], renumber[b]) for a, b in hom.poset.covers if a in keep and b in keep)
         assert list(sub.poset.covers) == want
-        assert as_read(sub.to_json())["covers"] == as_read(want)
+        assert as_read(hom_json(sub))["covers"] == as_read(want)
         # its int keys rank only its own masks, and its faces are still the label rule's
         by_label = {cell_vertex_sets(c): k for k, c in enumerate(sub.cells)}
         faces = [[(by_label[sets], e) for sets, e in _label_rule_faces(c)] for c in sub.cells]
@@ -342,10 +344,10 @@ def test_hom_out_holds_no_list_of_covers():
 
     def labelled_poset_covers():
         dims = {k: cell_dim(c) for k, c in enumerate(built.cells)}
-        return built.poset, dims, dict(enumerate(built._labels())), tuple(built.poset.covers)
+        return built.poset, dims, dict(enumerate(hom_labels(built))), tuple(built.poset.covers)
 
     peaks = []
-    for build in (labelled_poset_covers, lambda: cli._dump(unread.to_json(), Sink())):
+    for build in (labelled_poset_covers, lambda: cli._dump_hom(unread, Sink())):
         gc.collect()  # empties the free lists, so both peaks count every object made
         tracemalloc.start()
         try:
@@ -464,6 +466,6 @@ def test_induced_rejects_non_homomorphism():
 
 def test_hom_json_uses_poset_schema():
     hom = enumerate_hom_cells(complete(2), complete(3))
-    data = as_read(hom.to_json())
+    data = as_read(hom_json(hom))
     assert {"elements", "covers"} == set(data)
     assert data["elements"][0]["label"] == [[0], [1]]
